@@ -7,30 +7,15 @@
 //! Run: `cargo run --release -p bench --bin portfolio_scaling`
 //! (`SEQVER_QUICK=1` restricts to the small instances.)
 
-use bench_suite::Benchmark;
 use gemcutter::govern::Category;
 use gemcutter::portfolio::{adaptive_verify, default_portfolio, parallel_verify, ParallelConfig};
-use gemcutter::verify::{verify, Verdict, VerifierConfig};
+use gemcutter::verify::Verdict;
 use smt::term::TermPool;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// Engine counts to scale over (prefixes of the §8 portfolio).
 const ENGINE_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// Per-engine DFS worker counts for the `--dfs-threads` matrix.
-const DFS_THREADS: [usize; 3] = [1, 2, 4];
-
-/// Engines in the parallel-portfolio row of the matrix (kept small so
-/// engines × dfs-threads stays within a 4-core CI runner's oversubscription
-/// tolerance: 2 engines × 4 DFS workers = 8 threads).
-const MATRIX_ENGINES: usize = 2;
-
-/// A benchmark belongs to the "large state space" speedup subset when the
-/// 1-thread baseline visits at least this many proof-check states — below
-/// that, spawn/steal overhead dominates and per-benchmark wall-clock is
-/// noise. Falls back to the whole measured set when the subset is empty.
-const LARGE_VISITED: usize = 2_000;
 
 /// A benchmark is "multi-round" when the adaptive baseline needs at least
 /// this many refinement rounds — otherwise there is nothing to parallelize.
@@ -131,212 +116,4 @@ fn main() {
         measured == 0 || parallel4_wins > 0,
         "expected parallel(4) to win at least one multi-round benchmark"
     );
-
-    dfs_matrix(&corpus, &configs);
-}
-
-/// One aggregated cell of the engines × dfs-threads matrix.
-struct Cell {
-    mode: &'static str,
-    threads: usize,
-    /// Every benchmark matched the 1-thread baseline's verdict and round
-    /// count (asserted per benchmark too — a false cell means the asserts
-    /// were compiled out, so CI still gates on the JSON).
-    identity: bool,
-    total: Duration,
-    visited: usize,
-    steals: usize,
-}
-
-impl Cell {
-    fn json(&self) -> String {
-        format!(
-            "    {{\"mode\": \"{}\", \"dfs_threads\": {}, \"identity\": {}, \
-             \"total_ms\": {:.3}, \"visited\": {}, \"steals\": {}}}",
-            self.mode,
-            self.threads,
-            self.identity,
-            self.total.as_secs_f64() * 1e3,
-            self.visited,
-            self.steals,
-        )
-    }
-}
-
-/// The `--dfs-threads` matrix: sequential single-engine vs deterministic
-/// 2-engine parallel portfolio, each at 1/2/4 DFS workers per engine.
-/// Verdicts and round counts must be identical down every column (the
-/// parallel DFS is a scout — conclusive results are re-derived on the
-/// canonical sequential path), which is asserted per benchmark and
-/// recorded per cell in `BENCH_pardfs.json` for the CI jq gate. Speedup
-/// is *reported*, not asserted: this binary must also pass on single-core
-/// machines, so the `speedup_4t >= 1.5` gate lives in CI where the runner
-/// shape is known.
-fn dfs_matrix(corpus: &[Benchmark], configs: &[VerifierConfig]) {
-    println!();
-    println!("DFS-threads matrix: verdict/round identity and scaling per engine mode\n");
-    print!("  {:10} {:>4}", "mode", "dfs");
-    println!(
-        " {:>10} {:>10} {:>9} {:>9}",
-        "total", "visited", "steals", "identity"
-    );
-
-    // Baselines per mode at 1 thread: (verdict-is-correct, rounds) per
-    // benchmark, indexed in corpus order. `None` marks give-ups/trivial
-    // benchmarks excluded from the comparison.
-    let mut cells: Vec<Cell> = Vec::new();
-    let mut seq_baseline: Vec<Option<(bool, usize, usize)>> = Vec::new();
-    let mut par_baseline: Vec<Option<(bool, usize)>> = Vec::new();
-    for &mode in &["seq", "par2"] {
-        for &t in &DFS_THREADS {
-            let mut cell = Cell {
-                mode,
-                threads: t,
-                identity: true,
-                total: Duration::ZERO,
-                visited: 0,
-                steals: 0,
-            };
-            for (i, b) in corpus.iter().enumerate() {
-                let mut pool = TermPool::new();
-                let p = b.compile(&mut pool);
-                let t0 = Instant::now();
-                let (correct, rounds, visited, steals, gave_up) = match mode {
-                    "seq" => {
-                        let cfg = VerifierConfig::gemcutter_seq().with_dfs_threads(t);
-                        let out = verify(&mut pool, &p, &cfg);
-                        (
-                            out.verdict.is_correct(),
-                            out.stats.rounds,
-                            out.stats.visited_states,
-                            out.stats.dfs_steals,
-                            out.verdict.give_up().is_some(),
-                        )
-                    }
-                    _ => {
-                        let members: Vec<VerifierConfig> = configs[..MATRIX_ENGINES]
-                            .iter()
-                            .map(|c| c.clone().with_dfs_threads(t))
-                            .collect();
-                        let pcfg = ParallelConfig {
-                            deterministic: true,
-                            ..ParallelConfig::default()
-                        };
-                        let r = parallel_verify(&pool, &p, &members, &pcfg);
-                        (
-                            r.outcome.verdict.is_correct(),
-                            r.outcome.stats.rounds,
-                            r.outcome.stats.visited_states,
-                            r.outcome.stats.dfs_steals,
-                            r.outcome.verdict.give_up().is_some(),
-                        )
-                    }
-                };
-                cell.total += t0.elapsed();
-                cell.visited += visited;
-                cell.steals += steals;
-                if t == 1 {
-                    let entry = if gave_up {
-                        None
-                    } else {
-                        Some((correct, rounds))
-                    };
-                    match mode {
-                        "seq" => seq_baseline.push(entry.map(|(c, r)| (c, r, visited))),
-                        _ => par_baseline.push(entry),
-                    }
-                    continue;
-                }
-                let base = match mode {
-                    "seq" => seq_baseline[i].map(|(c, r, _)| (c, r)),
-                    _ => par_baseline[i],
-                };
-                let Some((base_correct, base_rounds)) = base else {
-                    continue; // baseline inconclusive: nothing to compare
-                };
-                if gave_up || correct != base_correct || rounds != base_rounds {
-                    cell.identity = false;
-                }
-                assert!(
-                    cell.identity,
-                    "{mode}/dfs={t} diverged from the 1-thread baseline on {} \
-                     (verdict {correct} vs {base_correct}, rounds {rounds} vs {base_rounds})",
-                    b.name
-                );
-            }
-            println!(
-                "  {:10} {:>4} {:>8.1}ms {:>10} {:>9} {:>9}",
-                cell.mode,
-                cell.threads,
-                cell.total.as_secs_f64() * 1e3,
-                cell.visited,
-                cell.steals,
-                cell.identity
-            );
-            cells.push(cell);
-        }
-    }
-
-    // 4-thread speedup of the single-engine sequential mode on the
-    // large-state-space subset, re-measured per benchmark so small
-    // instances don't drown the signal in spawn overhead.
-    let large: Vec<usize> = seq_baseline
-        .iter()
-        .enumerate()
-        .filter_map(|(i, e)| e.filter(|&(_, _, v)| v >= LARGE_VISITED).map(|_| i))
-        .collect();
-    let subset: Vec<usize> = if large.is_empty() {
-        (0..corpus.len())
-            .filter(|&i| seq_baseline[i].is_some())
-            .collect()
-    } else {
-        large.clone()
-    };
-    let mut t1 = Duration::ZERO;
-    let mut t4 = Duration::ZERO;
-    for &i in &subset {
-        for (threads, acc) in [(1usize, &mut t1), (4usize, &mut t4)] {
-            let mut pool = TermPool::new();
-            let p = corpus[i].compile(&mut pool);
-            let cfg = VerifierConfig::gemcutter_seq().with_dfs_threads(threads);
-            let t0 = Instant::now();
-            let out = verify(&mut pool, &p, &cfg);
-            *acc += t0.elapsed();
-            assert!(
-                out.verdict.give_up().is_none(),
-                "speedup rerun gave up on {}",
-                corpus[i].name
-            );
-        }
-    }
-    let speedup_4t = t1.as_secs_f64() / t4.as_secs_f64().max(1e-9);
-    println!();
-    println!(
-        "dfs-threads speedup (seq engine, {} subset of {} benchmarks): {:.2}x at 4 threads \
-         ({:.1}ms -> {:.1}ms)",
-        if large.is_empty() { "full" } else { "large" },
-        subset.len(),
-        speedup_4t,
-        t1.as_secs_f64() * 1e3,
-        t4.as_secs_f64() * 1e3,
-    );
-
-    let cells_json: Vec<String> = cells.iter().map(Cell::json).collect();
-    let json = format!(
-        "{{\n  \"corpus\": \"{}\",\n  \"benchmarks\": {},\n  \"identity\": {},\n  \
-         \"speedup_4t\": {speedup_4t:.4},\n  \"speedup_subset\": \"{}\",\n  \
-         \"speedup_subset_size\": {},\n  \"cells\": [\n{}\n  ]\n}}\n",
-        if std::env::var("SEQVER_QUICK").is_ok() {
-            "quick"
-        } else {
-            "full"
-        },
-        corpus.len(),
-        cells.iter().all(|c| c.identity),
-        if large.is_empty() { "full" } else { "large" },
-        subset.len(),
-        cells_json.join(",\n"),
-    );
-    std::fs::write("BENCH_pardfs.json", json).expect("write BENCH_pardfs.json");
-    println!("wrote BENCH_pardfs.json");
 }

@@ -50,14 +50,8 @@ pub struct CheckStats {
     /// Useless-cache probes issued (hits are `cache_skips`).
     pub useless_probes: usize,
     /// Useless-cache entries after the round (a gauge, not a delta).
+    /// [`check_proof`] leaves it unset; the owner of the cache fills it.
     pub useless_len: usize,
-    /// Work-stealing events between parallel DFS workers (0 sequentially).
-    pub steals: usize,
-    /// Tasks processed by parallel DFS workers (0 on the sequential path).
-    pub par_tasks: usize,
-    /// Tasks processed by the busiest parallel worker — together with
-    /// `par_tasks` this measures load balance (ideal: `par_tasks / N`).
-    pub max_worker_tasks: usize,
 }
 
 /// Switches for the proof check.
@@ -77,13 +71,12 @@ pub struct CheckConfig {
     /// state, so the governor's run-wide budget is the ultimate
     /// authority; this field is the per-round cap.
     pub max_visited: usize,
-    /// Worker threads for the proof-check DFS; `1` (the default) runs the
-    /// sequential Algorithm 2 code path byte-for-byte.
+    /// Ignored: the proof check is always the sequential Algorithm 2 DFS.
+    /// The field exists only so that existing `CheckConfig` struct
+    /// literals keep compiling.
     pub dfs_threads: usize,
-    /// Probe the useless-state cache but record no new entries. Test and
-    /// measurement knob: with marking frozen, the set of states a round
-    /// visits is schedule-independent, so parallel and sequential rounds
-    /// can be compared for exact visited-set equality.
+    /// Probe the useless-state cache but record no new entries, so the
+    /// round leaves the cache as it found it.
     pub freeze_useless: bool,
 }
 

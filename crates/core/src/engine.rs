@@ -13,12 +13,13 @@
 //! based on partial verification efforts").
 
 use crate::certify::SpecCert;
-use crate::check::{record_reduction, CheckConfig, CheckResult, CheckStats, UselessCache};
+use crate::check::{
+    check_proof, record_reduction, CheckConfig, CheckResult, CheckStats, UselessCache,
+};
 use crate::govern::{Category, GiveUp};
 use crate::interpolate::{
     analyze_trace_with_mode, InterpolationMode, InterpolationStats, TraceResult,
 };
-use crate::pardfs::{routed_check_proof, ParDfs};
 use crate::proof::ProofAutomaton;
 use crate::verify::{OrderSpec, VerifierConfig};
 use program::commutativity::CommutativityOracle;
@@ -113,12 +114,6 @@ pub struct EngineStats {
     pub useless_probes: usize,
     /// Useless-cache entries after the most recent round (a gauge).
     pub useless_len: usize,
-    /// Work-stealing events between parallel DFS workers.
-    pub dfs_steals: usize,
-    /// Tasks processed by parallel DFS workers (0 on the sequential path).
-    pub dfs_tasks: usize,
-    /// Tasks processed by the busiest parallel DFS worker in any round.
-    pub dfs_max_worker_tasks: usize,
     /// Solver queries answered from the query cache during this engine's
     /// rounds. With a shared cache under free-running parallel workers
     /// this attribution is approximate (concurrent activity lands in the
@@ -148,9 +143,6 @@ pub struct Engine {
     oracle: CommutativityOracle,
     persistent: Option<PersistentSets>,
     useless: UselessCache,
-    /// Worker state for `--dfs-threads > 1`, created at the first round
-    /// and reused across rounds (it owns the shared useless-cache then).
-    par: Option<ParDfs>,
     check_config: CheckConfig,
     interpolation: InterpolationMode,
     history: TraceHistory,
@@ -182,14 +174,12 @@ impl Engine {
             oracle,
             persistent,
             useless: UselessCache::new(),
-            par: None,
             check_config: CheckConfig {
                 use_sleep: config.use_sleep,
                 use_persistent: config.use_persistent,
                 proof_sensitive: config.proof_sensitive,
                 max_visited: config.max_visited_per_round,
-                dfs_threads: config.dfs_threads,
-                freeze_useless: false,
+                ..CheckConfig::default()
             },
             interpolation: config.interpolation,
             history: TraceHistory::new(),
@@ -255,7 +245,7 @@ impl Engine {
         self.stats.rounds += 1;
         let cache_before = pool.query_cache().map(|c| c.stats());
         let mut round_stats = CheckStats::default();
-        let result = routed_check_proof(
+        let result = check_proof(
             pool,
             program,
             self.spec,
@@ -264,7 +254,6 @@ impl Engine {
             self.persistent.as_ref(),
             proof,
             &mut self.useless,
-            &mut self.par,
             &self.check_config,
             &mut round_stats,
         );
@@ -272,18 +261,16 @@ impl Engine {
         self.stats.max_round_visited = self.stats.max_round_visited.max(round_stats.visited);
         self.stats.cache_skips += round_stats.cache_skips;
         self.stats.useless_probes += round_stats.useless_probes;
-        self.stats.useless_len = round_stats.useless_len;
-        self.stats.dfs_steals += round_stats.steals;
-        self.stats.dfs_tasks += round_stats.par_tasks;
-        self.stats.dfs_max_worker_tasks = self
-            .stats
-            .dfs_max_worker_tasks
-            .max(round_stats.max_worker_tasks);
+        self.stats.useless_len = self.useless.len();
         let outcome = match result {
             CheckResult::Proven => RoundOutcome::Proven,
-            CheckResult::LimitReached => {
-                RoundOutcome::GaveUp(GiveUp::new(Category::DfsStates, "state budget exhausted"))
-            }
+            CheckResult::LimitReached => RoundOutcome::GaveUp(GiveUp::new(
+                Category::DfsStates,
+                format!(
+                    "state budget exhausted ({} states)",
+                    self.check_config.max_visited
+                ),
+            )),
             CheckResult::Interrupted(g) if g.category == Category::Cancelled => {
                 RoundOutcome::Cancelled
             }

@@ -41,7 +41,6 @@ pub mod check;
 pub mod engine;
 pub mod govern;
 pub mod interpolate;
-pub mod pardfs;
 pub mod portfolio;
 pub mod proof;
 pub mod snapshot;

@@ -143,7 +143,7 @@ pub fn adaptive_verify(
                 });
                 let outcome = Outcome {
                     verdict,
-                    stats: finish(stats, &engines, &shared, start),
+                    stats: finish(stats, &engines, &shared, shared.stats().hoare_checks, start),
                     certificate: None,
                 };
                 return (outcome, None);
@@ -154,7 +154,7 @@ pub fn adaptive_verify(
                         Category::Rounds,
                         format!("no proof within {max_total_rounds} shared rounds"),
                     ),
-                    stats: finish(stats, &engines, &shared, start),
+                    stats: finish(stats, &engines, &shared, shared.stats().hoare_checks, start),
                     certificate: None,
                 };
                 return (outcome, None);
@@ -169,8 +169,9 @@ pub fn adaptive_verify(
             match engines[idx].round(pool, program, &mut shared) {
                 RoundOutcome::Proven => {
                     winner = Some(engines[idx].name.clone());
+                    let hoare_checks = shared.stats().hoare_checks;
                     spec_certs.push(engines[idx].record_spec_cert(pool, program, &mut shared));
-                    stats = finish(stats, &engines, &shared, start);
+                    stats = finish(stats, &engines, &shared, hoare_checks, start);
                     continue 'specs;
                 }
                 RoundOutcome::Bug(trace) => {
@@ -183,7 +184,7 @@ pub fn adaptive_verify(
                     };
                     let outcome = Outcome {
                         verdict,
-                        stats: finish(stats, &engines, &shared, start),
+                        stats: finish(stats, &engines, &shared, shared.stats().hoare_checks, start),
                         certificate,
                     };
                     return (outcome, Some(name));
@@ -210,28 +211,21 @@ pub fn adaptive_verify(
 }
 
 /// Folds engine counters and the shared proof into the running stats.
+/// `hoare_checks` is the shared proof's count before any certificate-
+/// recording walk. Rounds are single-threaded, so the engines' query-cache
+/// deltas are disjoint and their sum is exact.
 fn finish(
     mut stats: RunStats,
     engines: &[Engine],
     shared: &ProofAutomaton,
+    hoare_checks: usize,
     start: Instant,
 ) -> RunStats {
     for e in engines {
-        stats.rounds += e.stats.rounds;
-        stats.visited_states += e.stats.visited;
-        stats.max_round_visited = stats.max_round_visited.max(e.stats.max_round_visited);
-        stats.cache_skips += e.stats.cache_skips;
-        stats.useless_probes += e.stats.useless_probes;
-        stats.useless_len += e.stats.useless_len;
-        stats.dfs_steals += e.stats.dfs_steals;
-        stats.dfs_tasks += e.stats.dfs_tasks;
-        stats.dfs_max_worker_tasks = stats.dfs_max_worker_tasks.max(e.stats.dfs_max_worker_tasks);
-        stats.certs_dropped += e.stats.certs_dropped;
-        // Single-threaded rounds: per-engine deltas are disjoint, so the
-        // sum is exact.
-        stats.qcache_hits += e.stats.qcache_hits;
-        stats.qcache_misses += e.stats.qcache_misses;
+        stats.add_engine(&e.stats, 0);
     }
+    // The engines share one proof, whose Hoare checks count once.
+    stats.hoare_checks += hoare_checks;
     stats.proof_size = stats.proof_size.max(shared.proof_size());
     stats.time = start.elapsed();
     stats
@@ -415,24 +409,11 @@ pub fn parallel_verify(
                 }
             }
         }
+        // The workers' query-cache deltas overlap; `apply_cache_delta`
+        // replaces their sum with the pool-level total below.
         for exit in &phase.exits {
-            stats.rounds += exit.stats.rounds;
-            stats.visited_states += exit.stats.visited;
-            stats.max_round_visited = stats.max_round_visited.max(exit.stats.max_round_visited);
-            stats.cache_skips += exit.stats.cache_skips;
-            stats.useless_probes += exit.stats.useless_probes;
-            stats.useless_len += exit.stats.useless_len;
-            stats.dfs_steals += exit.stats.dfs_steals;
-            stats.dfs_tasks += exit.stats.dfs_tasks;
-            stats.dfs_max_worker_tasks = stats
-                .dfs_max_worker_tasks
-                .max(exit.stats.dfs_max_worker_tasks);
-            stats.certs_dropped += exit.stats.certs_dropped;
-            stats.hoare_checks += exit.hoare_checks;
+            stats.add_engine(&exit.stats, exit.hoare_checks);
             stats.proof_size = stats.proof_size.max(exit.proof_size);
-            stats.interpolation.feasibility_checks += exit.stats.interpolation.feasibility_checks;
-            stats.interpolation.sliced_statements += exit.stats.interpolation.sliced_statements;
-            stats.interpolation.farkas_chains += exit.stats.interpolation.farkas_chains;
         }
         let winner_idx = phase.winner;
         for exit in &phase.exits {
@@ -711,8 +692,13 @@ fn worker_loop(
                 }
             }
             RoundOutcome::Proven => {
+                // Report the Hoare checks of the check, not of the
+                // certificate-recording walk.
+                let hoare_checks = proof.stats().hoare_checks;
                 let cert = engine.record_spec_cert(pool, program, &mut proof);
-                return exit(pool, &engine, &proof, WorkerVerdict::Proven, cert);
+                let mut exit = exit(pool, &engine, &proof, WorkerVerdict::Proven, cert);
+                exit.hoare_checks = hoare_checks;
+                return exit;
             }
             RoundOutcome::Bug(trace) => {
                 return exit(pool, &engine, &proof, WorkerVerdict::Bug(trace), None)

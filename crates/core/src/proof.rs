@@ -148,14 +148,6 @@ impl ProofAutomaton {
         smt::entails(pool, conj, post)
     }
 
-    /// Interns the proof state for a canonical (sorted, deduplicated)
-    /// assertion-index set. Used by the parallel DFS workers to translate a
-    /// visited-set key — which carries the pool-independent index set, not
-    /// a `ProofStateId` — back into this automaton's state space.
-    pub(crate) fn state_for_set(&mut self, pool: &mut TermPool, set: Vec<u32>) -> ProofStateId {
-        self.intern_state(pool, set)
-    }
-
     fn intern_state(&mut self, pool: &mut TermPool, set: Vec<u32>) -> ProofStateId {
         if let Some(&id) = self.state_interner.get(&set) {
             return id;

@@ -295,9 +295,16 @@ impl SupervisorState {
         self.recycled_set.clear();
     }
 
-    /// Writes a round-boundary checkpoint if a path is configured.
-    /// Best-effort: failures are recorded, not fatal.
-    fn write_checkpoint(&mut self, pool: &TermPool, proof: Option<&ProofAutomaton>) {
+    /// Writes a round-boundary checkpoint if a path is configured;
+    /// `spec_rounds` counts the rounds of the spec phase in progress, which
+    /// are folded into `stats` only when the phase ends. Best-effort:
+    /// failures are recorded, not fatal.
+    fn write_checkpoint(
+        &mut self,
+        pool: &TermPool,
+        proof: Option<&ProofAutomaton>,
+        spec_rounds: usize,
+    ) {
         let Some(path) = self.checkpoint.clone() else {
             return;
         };
@@ -314,7 +321,7 @@ impl SupervisorState {
             config_name: self.config_name.clone(),
             attempt: self.attempt,
             specs_done: self.specs_done,
-            rounds_completed: self.rounds_completed(),
+            rounds_completed: self.rounds_completed() + spec_rounds,
             give_ups: self.give_ups.clone(),
             assertions,
         };
@@ -428,7 +435,7 @@ pub fn supervised_verify(
                 state.clear_recycled();
                 // Record the spec transition so a crash right here resumes
                 // into the next spec, not back into this one.
-                state.write_checkpoint(pool, None);
+                state.write_checkpoint(pool, None, 0);
             } else {
                 attempt_end = Some(end);
                 break;
@@ -532,14 +539,14 @@ fn run_spec(
         let id = pool.import(t);
         proof.add_assertion(id);
     }
-    let mut rounds = 0usize;
+    let mut hoare_checks = None;
     let end = loop {
         if state.interrupted() {
             state.harvest(pool, &proof);
-            state.write_checkpoint(pool, Some(&proof));
+            state.write_checkpoint(pool, Some(&proof), engine.stats.rounds);
             break SpecEnd::Interrupted;
         }
-        if rounds >= config.max_rounds {
+        if engine.stats.rounds >= config.max_rounds {
             state.harvest(pool, &proof);
             break SpecEnd::GaveUp(GiveUp::new(
                 Category::Rounds,
@@ -566,13 +573,12 @@ fn run_spec(
                         }),
                 )
             });
-        rounds += 1;
-        state.stats.rounds += 1;
         match outcome {
             RoundOutcome::Refined => {
-                state.write_checkpoint(pool, Some(&proof));
+                state.write_checkpoint(pool, Some(&proof), engine.stats.rounds);
             }
             RoundOutcome::Proven => {
+                hoare_checks = Some(proof.stats().hoare_checks);
                 let cert = engine.record_spec_cert(pool, program, &mut proof);
                 state.spec_certs.push(cert);
                 break SpecEnd::Proven;
@@ -591,20 +597,12 @@ fn run_spec(
     // Every spec end contributes to the run-wide harvest (give-up paths
     // already did through `harvest`; this also covers Proven/Bug ends).
     state.harvest_all_only(pool, &proof);
-    state.stats.visited_states += engine.stats.visited;
-    state.stats.max_round_visited = state
-        .stats
-        .max_round_visited
-        .max(engine.stats.max_round_visited);
-    state.stats.cache_skips += engine.stats.cache_skips;
-    state.stats.qcache_hits += engine.stats.qcache_hits;
-    state.stats.qcache_misses += engine.stats.qcache_misses;
-    state.stats.hoare_checks += proof.stats().hoare_checks;
+    // A proven spec reports the Hoare checks of its proof check, not of
+    // the certificate-recording walk.
+    let hoare_checks = hoare_checks.unwrap_or_else(|| proof.stats().hoare_checks);
+    state.stats.add_engine(&engine.stats, hoare_checks);
     state.stats.proof_size = state.stats.proof_size.max(proof.proof_size());
-    state.stats.interpolation.feasibility_checks += engine.stats.interpolation.feasibility_checks;
-    state.stats.interpolation.sliced_statements += engine.stats.interpolation.sliced_statements;
-    state.stats.interpolation.farkas_chains += engine.stats.interpolation.farkas_chains;
-    (end, rounds)
+    (end, engine.stats.rounds)
 }
 
 // ---------------------------------------------------------------------------

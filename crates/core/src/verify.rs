@@ -8,19 +8,14 @@
 //! comparison against Ultimate Automizer.
 
 use crate::certify::{CertSpec, Certificate, SpecCert};
-use crate::check::{record_reduction, CheckConfig, CheckResult, CheckStats, UselessCache};
-use crate::engine::TraceHistory;
+use crate::engine::{Engine, EngineStats, RoundOutcome};
 use crate::govern::{panic_reason, Category, GiveUp, GovernorConfig, ResourceGovernor};
-use crate::interpolate::{
-    analyze_trace_with_mode, InterpolationMode, InterpolationStats, TraceResult,
-};
-use crate::pardfs::{routed_check_proof, ParDfs};
+use crate::interpolate::{InterpolationMode, InterpolationStats};
 use crate::proof::ProofAutomaton;
 use crate::snapshot::program_fingerprint;
-use program::commutativity::{CommutativityLevel, CommutativityOracle};
+use program::commutativity::CommutativityLevel;
 use program::concurrent::{LetterId, Program, Spec};
 use reduction::order::{LockstepOrder, PreferenceOrder, PriorityOrder, RandomOrder, SeqOrder};
-use reduction::persistent::PersistentSets;
 use smt::term::TermPool;
 use smt::SolverKind;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -89,10 +84,6 @@ pub struct VerifierConfig {
     /// at this bound (each also charges `Category::DfsStates` per state,
     /// so [`GovernorConfig`] owns the run-wide limit).
     pub max_visited_per_round: usize,
-    /// Worker threads for the proof-check DFS inside each engine
-    /// (`--dfs-threads`). `1` (the default) is the sequential Algorithm 2
-    /// path, byte-for-byte.
-    pub dfs_threads: usize,
     /// Resource governance: deadline, run-wide step budgets and fault
     /// injection. Unlimited by default.
     pub govern: GovernorConfig,
@@ -125,7 +116,6 @@ impl VerifierConfig {
             interpolation: InterpolationMode::SpChain,
             max_rounds: 60,
             max_visited_per_round: 400_000,
-            dfs_threads: 1,
             govern: GovernorConfig::default(),
             use_qcache: true,
             solver: SolverKind::default(),
@@ -217,13 +207,6 @@ impl VerifierConfig {
         self.certify = false;
         self
     }
-
-    /// Sets the number of proof-check DFS worker threads
-    /// (`--dfs-threads`); `1` restores the sequential path.
-    pub fn with_dfs_threads(mut self, threads: usize) -> VerifierConfig {
-        self.dfs_threads = threads.max(1);
-        self
-    }
 }
 
 /// Verification verdict.
@@ -286,14 +269,6 @@ pub struct RunStats {
     /// Useless-cache entries at the end of the run (a gauge; for multi-
     /// engine runs, summed over engines).
     pub useless_len: usize,
-    /// Work-stealing events between parallel DFS workers
-    /// (`--dfs-threads > 1`; 0 on the sequential path).
-    pub dfs_steals: usize,
-    /// Tasks processed by parallel DFS workers.
-    pub dfs_tasks: usize,
-    /// Tasks processed by the busiest parallel DFS worker in any round —
-    /// `dfs_tasks / (rounds × threads)` vs this gauges load balance.
-    pub dfs_max_worker_tasks: usize,
     /// Wall-clock time of the whole run.
     pub time: Duration,
     /// Interpolation statistics.
@@ -314,6 +289,26 @@ pub struct RunStats {
 }
 
 impl RunStats {
+    /// Folds one engine's counters into the run totals, together with
+    /// `hoare_checks`, the Hoare checks of the proof the engine worked on
+    /// (read before any certificate-recording walk). Every driver reports
+    /// its engines through this one fold.
+    pub fn add_engine(&mut self, engine: &EngineStats, hoare_checks: usize) {
+        self.rounds += engine.rounds;
+        self.visited_states += engine.visited;
+        self.max_round_visited = self.max_round_visited.max(engine.max_round_visited);
+        self.hoare_checks += hoare_checks;
+        self.cache_skips += engine.cache_skips;
+        self.useless_probes += engine.useless_probes;
+        self.useless_len += engine.useless_len;
+        self.qcache_hits += engine.qcache_hits;
+        self.qcache_misses += engine.qcache_misses;
+        self.certs_dropped += engine.certs_dropped;
+        self.interpolation.feasibility_checks += engine.interpolation.feasibility_checks;
+        self.interpolation.sliced_statements += engine.interpolation.sliced_statements;
+        self.interpolation.farkas_chains += engine.interpolation.farkas_chains;
+    }
+
     /// Average time per refinement round (Table 2's metric).
     pub fn time_per_round(&self) -> Duration {
         if self.rounds == 0 {
@@ -413,8 +408,9 @@ pub fn verify_governed(
     let mut spec_certs: Vec<Option<SpecCert>> = Vec::new();
     let mut failed_spec: Option<Spec> = None;
     for spec in specs {
+        let mut run = None;
         let (v, cert) = catch_unwind(AssertUnwindSafe(|| {
-            verify_spec(pool, program, spec, config, &mut stats)
+            verify_spec(pool, program, spec, config, &mut run)
         }))
         .unwrap_or_else(|payload| {
             (
@@ -432,6 +428,9 @@ pub fn verify_governed(
                 None,
             )
         });
+        if let Some(run) = &run {
+            run.fold_into(&mut stats);
+        }
         match v {
             Verdict::Correct => spec_certs.push(cert),
             other => {
@@ -494,141 +493,65 @@ pub(crate) fn assemble_certificate(
     }
 }
 
+/// One spec's refinement state. It is created inside `verify_governed`'s
+/// `catch_unwind` but owned outside it, so a contained panic still
+/// reports the rounds run before it.
+struct SpecRun {
+    engine: Engine,
+    proof: ProofAutomaton,
+    /// The proof's Hoare checks after the last completed round, before
+    /// any certificate-recording walk.
+    hoare_checks: Option<usize>,
+}
+
+impl SpecRun {
+    /// Folds this spec into the run totals. `verify` reports the useless-
+    /// cache size and Hoare checks of the last spec that completed a
+    /// round, not their sum over specs.
+    fn fold_into(&self, stats: &mut RunStats) {
+        let gauges = (stats.useless_len, stats.hoare_checks);
+        stats.add_engine(&self.engine.stats, 0);
+        stats.proof_size = stats.proof_size.max(self.proof.proof_size());
+        (stats.useless_len, stats.hoare_checks) = match self.hoare_checks {
+            Some(h) => (self.engine.stats.useless_len, h),
+            None => gauges,
+        };
+    }
+}
+
 fn verify_spec(
     pool: &mut TermPool,
     program: &Program,
     spec: Spec,
     config: &VerifierConfig,
-    stats: &mut RunStats,
+    slot: &mut Option<SpecRun>,
 ) -> (Verdict, Option<SpecCert>) {
-    let order = config.order.build();
-    let mut oracle = CommutativityOracle::new(config.commutativity);
-    let persistent = config
-        .use_persistent
-        .then(|| PersistentSets::new(pool, program, &mut oracle));
-    let mut proof = ProofAutomaton::new();
-    let mut useless = UselessCache::new();
-    let mut par: Option<ParDfs> = None;
-    let check_config = CheckConfig {
-        use_sleep: config.use_sleep,
-        use_persistent: config.use_persistent,
-        proof_sensitive: config.proof_sensitive,
-        max_visited: config.max_visited_per_round,
-        dfs_threads: config.dfs_threads,
-        freeze_useless: false,
-    };
-    let mut history = TraceHistory::new();
+    let run = slot.insert(SpecRun {
+        engine: Engine::new(pool, program, spec, config),
+        proof: ProofAutomaton::new(),
+        hoare_checks: None,
+    });
     let governor = pool.governor().clone();
-
     for _round in 0..config.max_rounds {
         if let Err(g) = governor.charge(Category::Rounds) {
             return (Verdict::GaveUp(g), None);
         }
-        stats.rounds += 1;
-        let mut round_stats = CheckStats::default();
-        let result = routed_check_proof(
-            pool,
-            program,
-            spec,
-            order.as_ref(),
-            &mut oracle,
-            persistent.as_ref(),
-            &mut proof,
-            &mut useless,
-            &mut par,
-            &check_config,
-            &mut round_stats,
-        );
-        stats.visited_states += round_stats.visited;
-        stats.max_round_visited = stats.max_round_visited.max(round_stats.visited);
-        stats.cache_skips += round_stats.cache_skips;
-        stats.useless_probes += round_stats.useless_probes;
-        stats.useless_len = round_stats.useless_len;
-        stats.dfs_steals += round_stats.steals;
-        stats.dfs_tasks += round_stats.par_tasks;
-        stats.dfs_max_worker_tasks = stats.dfs_max_worker_tasks.max(round_stats.max_worker_tasks);
-        stats.hoare_checks = proof.stats().hoare_checks;
-        stats.proof_size = stats.proof_size.max(proof.proof_size());
-        match result {
-            CheckResult::Proven => {
-                let cert = if config.certify {
-                    let cert = record_reduction(
-                        pool,
-                        program,
-                        spec,
-                        order.as_ref(),
-                        &mut oracle,
-                        persistent.as_ref(),
-                        &mut proof,
-                        &check_config,
-                    )
-                    .map(|rec| {
-                        SpecCert::from_recorded(
-                            pool,
-                            &proof,
-                            &rec,
-                            spec,
-                            &config.order,
-                            &check_config,
-                        )
-                    });
-                    if cert.is_none() {
-                        stats.certs_dropped += 1;
-                    }
-                    cert
-                } else {
-                    None
-                };
+        let outcome = run.engine.round(pool, program, &mut run.proof);
+        run.hoare_checks = Some(run.proof.stats().hoare_checks);
+        match outcome {
+            RoundOutcome::Refined => {}
+            RoundOutcome::Proven => {
+                let cert = run.engine.record_spec_cert(pool, program, &mut run.proof);
                 return (Verdict::Correct, cert);
             }
-            CheckResult::LimitReached => {
-                return (
-                    Verdict::gave_up(
-                        Category::DfsStates,
-                        format!(
-                            "state budget exhausted ({} states)",
-                            config.max_visited_per_round
-                        ),
-                    ),
-                    None,
-                )
-            }
-            CheckResult::Interrupted(g) => return (Verdict::GaveUp(g), None),
-            CheckResult::Counterexample(trace) => {
-                // Any recently seen trace (not just the previous round's)
-                // means the refinement is cycling.
-                if history.record(&trace) {
-                    return (
-                        Verdict::gave_up(Category::NonProgress, "refinement made no progress"),
-                        None,
-                    );
-                }
-                match analyze_trace_with_mode(
-                    pool,
-                    program,
-                    &trace,
-                    spec,
-                    config.interpolation,
-                    &mut stats.interpolation,
-                ) {
-                    TraceResult::Feasible => return (Verdict::Incorrect { trace }, None),
-                    // Attribute to the governor when it is the real cause
-                    // of the undecided feasibility check.
-                    TraceResult::Unknown => {
-                        return (
-                            Verdict::GaveUp(governor.give_up().unwrap_or_else(|| {
-                                GiveUp::new(Category::UnknownTheory, "trace feasibility undecided")
-                            })),
-                            None,
-                        )
-                    }
-                    TraceResult::Infeasible { chain } => {
-                        for a in chain {
-                            proof.add_assertion(a);
-                        }
-                        stats.proof_size = stats.proof_size.max(proof.proof_size());
-                    }
-                }
+            RoundOutcome::Bug(trace) => return (Verdict::Incorrect { trace }, None),
+            RoundOutcome::GaveUp(g) => return (Verdict::GaveUp(g), None),
+            // The governor recorded the cancellation that stopped the round.
+            RoundOutcome::Cancelled => {
+                let g = governor
+                    .give_up()
+                    .unwrap_or_else(|| GiveUp::new(Category::Cancelled, "governor tripped"));
+                return (Verdict::GaveUp(g), None);
             }
         }
     }

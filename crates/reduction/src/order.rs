@@ -29,9 +29,9 @@ pub type OrderContext = u64;
 /// For each context, [`PreferenceOrder::rank`] must be injective on letters
 /// — it induces the total strict order `a <q b ⇔ rank(q, a) < rank(q, b)`.
 ///
-/// Orders are consulted concurrently by the parallel proof-check workers,
-/// so implementations must be plain shareable data (`Send + Sync`); every
-/// method takes `&self`.
+/// Implementations must be plain shareable data (`Send + Sync`), so that
+/// engines holding them can run on portfolio worker threads; every method
+/// takes `&self`.
 pub trait PreferenceOrder: Send + Sync {
     /// A short name for reports (e.g. `"seq"`, `"lockstep"`, `"rand(1)"`).
     fn name(&self) -> &str;

@@ -100,87 +100,6 @@ fn deterministic_parallel_certificates_check_and_are_stable() {
     }
 }
 
-/// `--dfs-threads` must not be observable in results: the parallel DFS
-/// is a scout whose conclusive outcomes are re-derived on the canonical
-/// sequential path, so verdict (including the counterexample trace),
-/// round count, proof size and serialized certificate text must be
-/// byte-identical at 1, 2 and 4 workers.
-fn assert_dfs_threads_identity(name: &str) {
-    let bench = bench_suite::all()
-        .into_iter()
-        .find(|b| b.name == name)
-        .unwrap_or_else(|| panic!("benchmark {name} not in the suite"));
-    let mut reference = None;
-    for threads in [1usize, 2, 4] {
-        let mut pool = TermPool::new();
-        let p = bench.compile(&mut pool);
-        let config = VerifierConfig::gemcutter_seq().with_dfs_threads(threads);
-        let outcome = verify(&mut pool, &p, &config);
-        let fingerprint = (
-            outcome.verdict.clone(),
-            outcome.stats.rounds,
-            outcome.stats.proof_size,
-            outcome.certificate.as_ref().map(|c| c.to_text()),
-        );
-        match &reference {
-            None => reference = Some(fingerprint),
-            Some(first) => assert_eq!(
-                *first, fingerprint,
-                "{name}: dfs-threads {threads} diverged from the sequential run"
-            ),
-        }
-    }
-}
-
-#[test]
-fn dfs_threads_are_unobservable_on_peterson() {
-    assert_dfs_threads_identity("peterson");
-}
-
-#[test]
-fn dfs_threads_are_unobservable_on_dekker_bug() {
-    assert_dfs_threads_identity("dekker-bug");
-}
-
-/// The deterministic portfolio contract survives per-engine parallel DFS:
-/// the whole-portfolio fingerprint (verdict, winner, per-engine reports)
-/// is identical whether each engine checks its proof with 1, 2 or 4 DFS
-/// workers.
-#[test]
-fn deterministic_parallel_is_stable_across_dfs_threads() {
-    let bench = bench_suite::all()
-        .into_iter()
-        .find(|b| b.name == "peterson")
-        .expect("peterson in the suite");
-    let pcfg = ParallelConfig {
-        deterministic: true,
-        ..ParallelConfig::default()
-    };
-    let mut reference = None;
-    for threads in [1usize, 2, 4] {
-        let configs: Vec<VerifierConfig> = engines()
-            .into_iter()
-            .map(|c| c.with_dfs_threads(threads))
-            .collect();
-        let mut pool = TermPool::new();
-        let p = bench.compile(&mut pool);
-        let result = parallel_verify(&pool, &p, &configs, &pcfg);
-        let fingerprint = (
-            result.outcome.verdict.clone(),
-            result.winner.clone(),
-            result.engines.clone(),
-            result.outcome.certificate.as_ref().map(|c| c.to_text()),
-        );
-        match &reference {
-            None => reference = Some(fingerprint),
-            Some(first) => assert_eq!(
-                *first, fingerprint,
-                "dfs-threads {threads} changed the deterministic portfolio fingerprint"
-            ),
-        }
-    }
-}
-
 /// The seq and lockstep engines each certify their own single-engine
 /// runs: different reductions, different proofs — both independently
 /// checkable on the same program.

@@ -4,16 +4,19 @@
 //! ([`adaptive_verify`]) and the multi-threaded parallel portfolio
 //! ([`parallel_verify`], deterministic mode) must never contradict each
 //! other's conclusive verdicts, and every reported bug trace must replay
-//! as feasible under exact trace analysis.
+//! as feasible under exact trace analysis. On fixed corpus programs, the
+//! single-engine drivers must also report the same run counters.
 
 use proptest::prelude::*;
 use seqver::automata::bitset::BitSet;
 use seqver::automata::dfa::DfaBuilder;
+use seqver::bench_suite;
 use seqver::gemcutter::interpolate::{
     analyze_trace_with_mode, InterpolationMode, InterpolationStats, TraceResult,
 };
 use seqver::gemcutter::portfolio::{adaptive_verify, parallel_verify, ParallelConfig};
-use seqver::gemcutter::verify::{verify, Verdict, VerifierConfig};
+use seqver::gemcutter::supervise::{supervised_verify, SuperviseConfig};
+use seqver::gemcutter::verify::{specs_of, verify, Outcome, RunStats, Verdict, VerifierConfig};
 use seqver::program::concurrent::{LetterId, Program, Spec};
 use seqver::program::stmt::{SimpleStmt, Statement};
 use seqver::program::thread::{Thread, ThreadId};
@@ -217,6 +220,78 @@ proptest! {
                 (cold.stats.qcache_hits, cold.stats.qcache_misses),
                 (0, 0),
                 "{}: cache-off run must not touch the cache", config.name
+            );
+        }
+    }
+}
+
+/// The counters every driver folds from its engines, minus wall time and
+/// query-cache attribution.
+fn engine_counters(stats: &RunStats) -> [(&'static str, usize); 12] {
+    [
+        ("rounds", stats.rounds),
+        ("visited_states", stats.visited_states),
+        ("cache_skips", stats.cache_skips),
+        ("useless_probes", stats.useless_probes),
+        ("useless_len", stats.useless_len),
+        ("hoare_checks", stats.hoare_checks),
+        ("proof_size", stats.proof_size),
+        (
+            "interpolation.feasibility_checks",
+            stats.interpolation.feasibility_checks,
+        ),
+        (
+            "interpolation.sliced_statements",
+            stats.interpolation.sliced_statements,
+        ),
+        (
+            "interpolation.farkas_chains",
+            stats.interpolation.farkas_chains,
+        ),
+        ("certs_dropped", stats.certs_dropped),
+        ("max_round_visited", stats.max_round_visited),
+    ]
+}
+
+/// `verify`, a single-attempt `supervised_verify` and a single-member
+/// `adaptive_verify` run the same engine rounds, so they must report the
+/// same counters: none may drop one, and none may count the Hoare checks
+/// of the certificate-recording walk. (The programs have one spec each;
+/// with several, `verify` reports the last spec's gauges.)
+#[test]
+fn single_engine_drivers_report_the_same_counters() {
+    let config = VerifierConfig::gemcutter_seq();
+    for name in ["counter-safe-2", "counter-bug-2"] {
+        let bench = bench_suite::all()
+            .into_iter()
+            .find(|b| b.name == name)
+            .unwrap_or_else(|| panic!("benchmark {name} not in the suite"));
+        let run = |drive: &dyn Fn(&mut TermPool, &Program) -> Outcome| {
+            let mut pool = TermPool::new();
+            let p = bench.compile(&mut pool);
+            assert_eq!(specs_of(&p).len(), 1, "{name}: expected one spec");
+            drive(&mut pool, &p)
+        };
+        let plain = run(&|pool, p| verify(pool, p, &config));
+        let supervised = run(&|pool, p| {
+            supervised_verify(pool, p, &config, &SuperviseConfig::default()).outcome
+        });
+        let adaptive = run(&|pool, p| {
+            adaptive_verify(pool, p, std::slice::from_ref(&config), config.max_rounds).0
+        });
+        assert_eq!(
+            plain.verdict.is_correct(),
+            name == "counter-safe-2",
+            "{name}: unexpected verdict"
+        );
+        assert!(plain.stats.useless_probes > 0 && plain.stats.useless_len > 0);
+        assert!(plain.stats.hoare_checks > 0);
+        for (driver, outcome) in [("supervised", &supervised), ("adaptive", &adaptive)] {
+            assert_eq!(outcome.verdict, plain.verdict, "{name}: {driver} verdict");
+            assert_eq!(
+                engine_counters(&outcome.stats),
+                engine_counters(&plain.stats),
+                "{name}: {driver} counters differ from verify"
             );
         }
     }
