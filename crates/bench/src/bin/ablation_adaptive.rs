@@ -5,7 +5,8 @@
 //! Run: `cargo run --release -p bench --bin ablation_adaptive`
 
 use bench_suite::Expected;
-use gemcutter::portfolio::{adaptive_verify, default_portfolio, portfolio_verify};
+use gemcutter::drive::{drive, Run, Schedule};
+use gemcutter::portfolio::{default_portfolio, portfolio_verify};
 use gemcutter::verify::Verdict;
 use smt::term::TermPool;
 
@@ -37,7 +38,12 @@ fn main() {
 
         let mut pool2 = TermPool::new();
         let p2 = b.compile(&mut pool2);
-        let (adaptive, _winner) = adaptive_verify(&mut pool2, &p2, &default_portfolio(), 300);
+        let adaptive = drive(
+            &mut pool2,
+            &p2,
+            &Run::new(Schedule::TakeTurns, default_portfolio()),
+        )
+        .outcome;
 
         let ok = |v: &Verdict| {
             matches!(

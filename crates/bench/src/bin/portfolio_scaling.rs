@@ -1,14 +1,16 @@
 //! **Portfolio scaling**: wall-clock of the multi-threaded shared-proof
-//! portfolio ([`gemcutter::portfolio::parallel_verify`]) at 1, 2 and 4
-//! engines vs. the single-threaded adaptive portfolio on the multi-round
+//! portfolio ([`gemcutter::drive::Schedule::Race`]) at 1, 2 and 4
+//! engines vs. the single-threaded shared-proof portfolio
+//! ([`gemcutter::drive::Schedule::TakeTurns`]) on the multi-round
 //! corpus benchmarks (those where refinement needs several rounds, so
 //! there are assertions worth sharing).
 //!
 //! Run: `cargo run --release -p bench --bin portfolio_scaling`
 //! (`SEQVER_QUICK=1` restricts to the small instances.)
 
+use gemcutter::drive::{drive, Run, Schedule};
 use gemcutter::govern::Category;
-use gemcutter::portfolio::{adaptive_verify, default_portfolio, parallel_verify, ParallelConfig};
+use gemcutter::portfolio::default_portfolio;
 use gemcutter::verify::Verdict;
 use smt::term::TermPool;
 use std::collections::BTreeMap;
@@ -39,7 +41,12 @@ fn main() {
         let mut pool = TermPool::new();
         let p = b.compile(&mut pool);
         let t0 = Instant::now();
-        let (adaptive, _) = adaptive_verify(&mut pool, &p, &configs, 600);
+        let adaptive = drive(
+            &mut pool,
+            &p,
+            &Run::new(Schedule::TakeTurns, configs.clone()),
+        )
+        .outcome;
         let adaptive_time = t0.elapsed();
         if let Verdict::GaveUp(g) = &adaptive.verdict {
             // Inconclusive: record the resource category instead of timings.
@@ -69,7 +76,8 @@ fn main() {
             let mut pool = TermPool::new();
             let p = b.compile(&mut pool);
             let t0 = Instant::now();
-            let result = parallel_verify(&pool, &p, &configs[..n], &ParallelConfig::default());
+            let race = Run::new(Schedule::Race, configs[..n].to_vec());
+            let result = drive(&mut pool, &p, &race);
             times.push(t0.elapsed());
             widest_hit_rate = result.outcome.stats.qcache_hit_rate();
             assert_eq!(

@@ -12,9 +12,8 @@
 
 use bench::{run_config, run_parallel, run_portfolio, run_supervised, Aggregate, Run};
 use bench_suite::{Expected, Suite};
+use gemcutter::drive::{RetryPolicy, Schedule};
 use gemcutter::govern::Category;
-use gemcutter::portfolio::ParallelConfig;
-use gemcutter::supervise::RetryPolicy;
 use gemcutter::verify::{Verdict, VerifierConfig};
 use smt::SolverKind;
 
@@ -323,7 +322,7 @@ fn main() {
         },
         Column {
             name: "parallel",
-            runs: run_parallel(&corpus, &[], &ParallelConfig::default())
+            runs: run_parallel(&corpus, Schedule::Race)
                 .into_iter()
                 .map(|(r, _)| r)
                 .collect(),

@@ -6,10 +6,8 @@
 //! portfolio model, and plain-text table/series formatting.
 
 use bench_suite::{Benchmark, Expected, Suite};
-use gemcutter::portfolio::{
-    default_portfolio, parallel_verify, portfolio_verify, EngineReport, ParallelConfig,
-};
-use gemcutter::supervise::{supervised_verify, RetryPolicy, SuperviseConfig};
+use gemcutter::drive::{drive, EngineReport, RetryPolicy, Schedule};
+use gemcutter::portfolio::{default_portfolio, portfolio_verify};
 use gemcutter::verify::{verify, Outcome, Verdict, VerifierConfig};
 use smt::term::TermPool;
 
@@ -120,28 +118,18 @@ pub fn run_portfolio(benchmarks: &[Benchmark], full: bool) -> Vec<(Run, Vec<(Str
         .collect()
 }
 
-/// Runs the **multi-threaded shared-proof portfolio** on `benchmarks`:
-/// every preference order refines on its own OS thread, exchanging newly
-/// discovered assertions through the coordinator. `configs` defaults to
-/// the five §8 orders when empty.
-pub fn run_parallel(
-    benchmarks: &[Benchmark],
-    configs: &[VerifierConfig],
-    pcfg: &ParallelConfig,
-) -> Vec<(Run, Vec<EngineReport>)> {
-    let default_configs;
-    let configs = if configs.is_empty() {
-        default_configs = default_portfolio();
-        &default_configs
-    } else {
-        configs
-    };
+/// Runs the five §8 orders as a **multi-threaded shared-proof
+/// portfolio** on `benchmarks`: every preference order refines on its own
+/// OS thread under `schedule` ([`Schedule::Lockstep`] or
+/// [`Schedule::Race`]), exchanging newly discovered assertions.
+pub fn run_parallel(benchmarks: &[Benchmark], schedule: Schedule) -> Vec<(Run, Vec<EngineReport>)> {
+    let run = gemcutter::drive::Run::new(schedule, default_portfolio());
     benchmarks
         .iter()
         .map(|b| {
             let mut pool = TermPool::new();
             let p = b.compile(&mut pool);
-            let result = parallel_verify(&pool, &p, configs, pcfg);
+            let result = drive(&mut pool, &p, &run);
             let run = Run {
                 name: b.name.clone(),
                 suite: b.suite,
@@ -196,7 +184,11 @@ pub fn run_supervised(
         .map(|b| {
             let mut pool = TermPool::new();
             let p = b.compile(&mut pool);
-            let sup = supervised_verify(&mut pool, &p, config, &SuperviseConfig::retrying(policy));
+            let sup = drive(
+                &mut pool,
+                &p,
+                &gemcutter::drive::Run::single(config).retrying(policy),
+            );
             let run = Run {
                 name: b.name.clone(),
                 suite: b.suite,

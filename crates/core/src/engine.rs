@@ -3,10 +3,9 @@
 //! [`Engine`] packages the per-order state of the refinement loop (the
 //! preference order, commutativity oracle, persistent sets and the §7.2
 //! useless-state cache) and exposes one refinement round at a time. The
-//! plain loop ([`crate::verify::verify`]) drives a single engine to completion;
-//! the **shared-proof adaptive portfolio**
-//! ([`crate::portfolio::adaptive_verify`]) interleaves rounds of several
-//! engines over a *common* [`ProofAutomaton`] — assertions discovered
+//! driver ([`mod@crate::drive`]) advances engines round by round under one of
+//! three schedules; under [`crate::drive::Schedule::TakeTurns`] several
+//! engines share a *common* [`ProofAutomaton`] — assertions discovered
 //! under one preference order are program facts and immediately benefit
 //! every other order. This realizes the direction sketched in the paper's
 //! §8 Limitations ("dynamically adjust a choice of a preference order
@@ -114,14 +113,6 @@ pub struct EngineStats {
     pub useless_probes: usize,
     /// Useless-cache entries after the most recent round (a gauge).
     pub useless_len: usize,
-    /// Solver queries answered from the query cache during this engine's
-    /// rounds. With a shared cache under free-running parallel workers
-    /// this attribution is approximate (concurrent activity lands in the
-    /// round that observes it); pool-level totals are exact.
-    pub qcache_hits: u64,
-    /// Solver queries by this engine's rounds that solved cold (same
-    /// attribution caveat as `qcache_hits`).
-    pub qcache_misses: u64,
     /// Proven rounds whose certificate was dropped because the recording
     /// re-walk tripped its state budget or the resource governor.
     pub certs_dropped: usize,
@@ -243,7 +234,6 @@ impl Engine {
         proof: &mut ProofAutomaton,
     ) -> RoundOutcome {
         self.stats.rounds += 1;
-        let cache_before = pool.query_cache().map(|c| c.stats());
         let mut round_stats = CheckStats::default();
         let result = check_proof(
             pool,
@@ -262,7 +252,7 @@ impl Engine {
         self.stats.cache_skips += round_stats.cache_skips;
         self.stats.useless_probes += round_stats.useless_probes;
         self.stats.useless_len = self.useless.len();
-        let outcome = match result {
+        match result {
             CheckResult::Proven => RoundOutcome::Proven,
             CheckResult::LimitReached => RoundOutcome::GaveUp(GiveUp::new(
                 Category::DfsStates,
@@ -310,13 +300,7 @@ impl Engine {
                     }
                 }
             }
-        };
-        if let (Some(cache), Some(before)) = (pool.query_cache(), cache_before) {
-            let delta = cache.stats().since(&before);
-            self.stats.qcache_hits += delta.hits;
-            self.stats.qcache_misses += delta.misses;
         }
-        outcome
     }
 }
 

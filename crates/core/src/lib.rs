@@ -13,12 +13,16 @@
 //! * [`interpolate`] — trace feasibility + sequence interpolation;
 //! * [`check`] — the on-the-fly proof check (Algorithm 2), with the §7.2
 //!   cross-round useless-state cache;
-//! * [`mod@verify`] — the refinement loop, configuration and statistics;
+//! * [`engine`] — one preference order's state, advanced one round at a
+//!   time;
+//! * [`mod@drive`] — the one refinement driver: three schedules
+//!   (take turns over a shared proof, lockstep threads, racing threads),
+//!   one retry ladder with proof recycling, crash-safe checkpoint/resume;
+//! * [`mod@verify`] — configuration, verdicts, statistics and the plain
+//!   loop ([`verify()`], one member taking every turn);
 //! * [`govern`] — resource governance (deadlines, step budgets,
 //!   cancellation, deterministic fault injection);
-//! * [`portfolio`] — the multi-preference-order portfolio of §8;
-//! * [`supervise`] — restart supervision: proof-recycling escalation
-//!   ladders and crash-safe checkpoint/resume;
+//! * [`portfolio`] — the sequential multi-preference-order portfolio of §8;
 //! * [`snapshot`] — the versioned on-disk checkpoint format.
 //!
 //! # Example
@@ -38,30 +42,26 @@
 
 pub mod certify;
 pub mod check;
+pub mod drive;
 pub mod engine;
 pub mod govern;
 pub mod interpolate;
 pub mod portfolio;
 pub mod proof;
 pub mod snapshot;
-pub mod supervise;
 pub mod trace;
 pub mod verify;
 
 pub use certify::{
     check_certificate, CertMutation, CertSpec, Certificate, CertifyMode, CertifyReport, SpecCert,
 };
+pub use drive::{
+    drive, AttemptReport, Driven, EngineReport, EngineStatus, RetryPolicy, Run, Schedule,
+};
 pub use govern::{
     push_give_up_deduped, AttributedGiveUp, Category, FaultKind, FaultPlan, GiveUp, GovernorConfig,
     ResourceGovernor,
 };
-pub use portfolio::{
-    adaptive_verify, default_portfolio, parallel_verify, portfolio_verify, EngineReport,
-    EngineStatus, ParallelConfig, ParallelOutcome, PortfolioOutcome,
-};
+pub use portfolio::{default_portfolio, portfolio_verify, PortfolioOutcome};
 pub use snapshot::{program_fingerprint, Snapshot};
-pub use supervise::{
-    supervised_parallel_verify, supervised_verify, AttemptReport, RetryPolicy, SuperviseConfig,
-    SupervisedOutcome, SupervisedParallelOutcome,
-};
 pub use verify::{specs_of, verify, OrderSpec, Outcome, RunStats, Verdict, VerifierConfig};

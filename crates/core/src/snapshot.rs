@@ -1,8 +1,8 @@
 //! Crash-safe verification snapshots.
 //!
-//! At round boundaries the supervised refinement loop serializes its
-//! resumable state — program fingerprint, cumulative round counter, the
-//! proof assertions accumulated for the in-progress spec (as
+//! At round boundaries the refinement driver ([`mod@crate::drive`])
+//! serializes its resumable state — program fingerprint, cumulative round
+//! counter, the proof assertions accumulated for the in-progress spec (as
 //! pool-independent [`ExportedTerm`]s in their stable text form), the
 //! give-up history and the attempt counter — into a versioned text file.
 //! Writes go through a temp file that is fsynced, renamed into place, and
@@ -201,7 +201,7 @@ pub fn write_atomic_durable(path: &Path, text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// A resumable checkpoint of a supervised verification run.
+/// A resumable checkpoint of a driver run ([`crate::drive::Run::checkpoint`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Snapshot {
     /// Fingerprint of the program being verified (guards against resuming

@@ -7,19 +7,17 @@
 //! mechanism and thus explores the full interleaving product — the paper's
 //! comparison against Ultimate Automizer.
 
-use crate::certify::{CertSpec, Certificate, SpecCert};
-use crate::engine::{Engine, EngineStats, RoundOutcome};
-use crate::govern::{panic_reason, Category, GiveUp, GovernorConfig, ResourceGovernor};
+use crate::certify::Certificate;
+use crate::drive::{drive, Run};
+use crate::engine::EngineStats;
+use crate::govern::{Category, GiveUp, GovernorConfig};
 use crate::interpolate::{InterpolationMode, InterpolationStats};
-use crate::proof::ProofAutomaton;
-use crate::snapshot::program_fingerprint;
 use program::commutativity::CommutativityLevel;
 use program::concurrent::{LetterId, Program, Spec};
 use reduction::order::{LockstepOrder, PreferenceOrder, PriorityOrder, RandomOrder, SeqOrder};
 use smt::term::TermPool;
 use smt::SolverKind;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Which preference order to instantiate (§8 evaluates these three
 /// families).
@@ -260,7 +258,9 @@ pub struct RunStats {
     pub visited_states: usize,
     /// Largest single-round visited count.
     pub max_round_visited: usize,
-    /// Hoare-triple solver queries.
+    /// Hoare-triple solver queries of the run's proofs, summed over specs
+    /// (a proof shared by several engines counts once), read before any
+    /// certificate-recording walk.
     pub hoare_checks: usize,
     /// Useless-cache skips (§7.2 optimization effectiveness).
     pub cache_skips: usize,
@@ -273,9 +273,11 @@ pub struct RunStats {
     pub time: Duration,
     /// Interpolation statistics.
     pub interpolation: InterpolationStats,
-    /// Solver queries answered from the query cache during this run.
+    /// Solver queries answered from the query cache during this run: the
+    /// cache's delta over the whole run (see [`mod@crate::drive`]), zero when
+    /// no engine used the cache.
     pub qcache_hits: u64,
-    /// Solver queries that fell through to a real solve.
+    /// Solver queries that fell through to a real solve (same rule).
     pub qcache_misses: u64,
     /// Proven results whose certificate was dropped because the recording
     /// re-walk tripped its state budget or the resource governor.
@@ -289,20 +291,15 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Folds one engine's counters into the run totals, together with
-    /// `hoare_checks`, the Hoare checks of the proof the engine worked on
-    /// (read before any certificate-recording walk). Every driver reports
-    /// its engines through this one fold.
-    pub fn add_engine(&mut self, engine: &EngineStats, hoare_checks: usize) {
+    /// Folds one engine's counters into the run totals. The driver reports
+    /// every engine through this one fold.
+    pub fn add_engine(&mut self, engine: &EngineStats) {
         self.rounds += engine.rounds;
         self.visited_states += engine.visited;
         self.max_round_visited = self.max_round_visited.max(engine.max_round_visited);
-        self.hoare_checks += hoare_checks;
         self.cache_skips += engine.cache_skips;
         self.useless_probes += engine.useless_probes;
         self.useless_len += engine.useless_len;
-        self.qcache_hits += engine.qcache_hits;
-        self.qcache_misses += engine.qcache_misses;
         self.certs_dropped += engine.certs_dropped;
         self.interpolation.feasibility_checks += engine.interpolation.feasibility_checks;
         self.interpolation.sliced_statements += engine.interpolation.sliced_statements;
@@ -365,201 +362,15 @@ pub fn specs_of(program: &Program) -> Vec<Spec> {
     }
 }
 
-/// Verifies `program` under `config`.
+/// Verifies `program` under `config`: [`drive`] with one member taking
+/// every turn.
 ///
 /// Programs with asserts are analyzed once per asserting thread
 /// (footnote 4 of the paper); programs without asserts are verified
-/// against their pre/postcondition pair.
-pub fn verify(pool: &mut TermPool, program: &Program, config: &VerifierConfig) -> Outcome {
-    verify_governed(pool, program, config, config.govern.build())
-}
-
-/// As [`verify`], with an explicitly built governor — the parallel
-/// portfolio builds per-worker governors sharing one cancellation token.
-///
-/// The governor is installed on `pool` for the duration of the run (so
-/// every solver query charges it) and the previous governor is restored
-/// before returning. Injected panics are contained here and reported as
+/// against their pre/postcondition pair. The configuration's governor,
+/// solver kind and query-cache setting are installed on `pool` for the
+/// run and restored afterwards; panics are contained and reported as
 /// [`Verdict::GaveUp`] with [`Category::InjectedFault`].
-pub fn verify_governed(
-    pool: &mut TermPool,
-    program: &Program,
-    config: &VerifierConfig,
-    governor: ResourceGovernor,
-) -> Outcome {
-    let start = Instant::now();
-    let previous = pool.governor().clone();
-    pool.set_governor(governor.clone());
-    let saved_solver = pool.solver_kind();
-    pool.set_solver_kind(config.solver);
-    // Honor `use_qcache`: a disabled run removes the pool's cache handle
-    // for its duration (restored below; the cache is Arc-shared, so other
-    // holders are unaffected). Counters are attributed to this run by
-    // snapshot deltas, since the cache may be shared across workers.
-    let saved_cache = if config.use_qcache {
-        None
-    } else {
-        pool.take_query_cache()
-    };
-    let cache_before = pool.query_cache().map(|c| c.stats());
-    let mut stats = RunStats::default();
-    let specs = specs_of(program);
-    let mut verdict = Verdict::Correct;
-    let mut spec_certs: Vec<Option<SpecCert>> = Vec::new();
-    let mut failed_spec: Option<Spec> = None;
-    for spec in specs {
-        let mut run = None;
-        let (v, cert) = catch_unwind(AssertUnwindSafe(|| {
-            verify_spec(pool, program, spec, config, &mut run)
-        }))
-        .unwrap_or_else(|payload| {
-            (
-                Verdict::GaveUp(
-                    governor
-                        .give_up()
-                        .filter(|g| g.category == Category::InjectedFault)
-                        .unwrap_or_else(|| {
-                            GiveUp::new(
-                                Category::InjectedFault,
-                                format!("panic contained: {}", panic_reason(payload.as_ref())),
-                            )
-                        }),
-                ),
-                None,
-            )
-        });
-        if let Some(run) = &run {
-            run.fold_into(&mut stats);
-        }
-        match v {
-            Verdict::Correct => spec_certs.push(cert),
-            other => {
-                verdict = other;
-                failed_spec = Some(spec);
-                break;
-            }
-        }
-    }
-    pool.set_governor(previous);
-    pool.set_solver_kind(saved_solver);
-    if let (Some(cache), Some(before)) = (pool.query_cache(), cache_before) {
-        let delta = cache.stats().since(&before);
-        stats.qcache_hits = delta.hits;
-        stats.qcache_misses = delta.misses;
-    }
-    if let Some(cache) = saved_cache {
-        pool.set_query_cache(cache);
-    }
-    stats.time = start.elapsed();
-    let certificate = if config.certify {
-        assemble_certificate(pool, program, &verdict, spec_certs, failed_spec)
-    } else {
-        None
-    };
-    Outcome {
-        verdict,
-        stats,
-        certificate,
-    }
-}
-
-/// Assembles the end-to-end certificate from per-spec pieces: a CORRECT
-/// verdict needs a recorded proof for *every* specification; an INCORRECT
-/// verdict carries its violating trace bound to the failed spec.
-pub(crate) fn assemble_certificate(
-    pool: &TermPool,
-    program: &Program,
-    verdict: &Verdict,
-    spec_certs: Vec<Option<SpecCert>>,
-    failed_spec: Option<Spec>,
-) -> Option<Certificate> {
-    match verdict {
-        Verdict::Correct => {
-            let specs: Vec<SpecCert> = spec_certs.into_iter().collect::<Option<Vec<_>>>()?;
-            if specs.len() != specs_of(program).len() {
-                return None;
-            }
-            Some(Certificate::Correct {
-                fingerprint: program_fingerprint(pool, program),
-                specs,
-            })
-        }
-        Verdict::Incorrect { trace } => Some(Certificate::Bug {
-            fingerprint: program_fingerprint(pool, program),
-            spec: CertSpec::of(failed_spec?),
-            trace: trace.iter().map(|l| l.0).collect(),
-        }),
-        Verdict::GaveUp(_) => None,
-    }
-}
-
-/// One spec's refinement state. It is created inside `verify_governed`'s
-/// `catch_unwind` but owned outside it, so a contained panic still
-/// reports the rounds run before it.
-struct SpecRun {
-    engine: Engine,
-    proof: ProofAutomaton,
-    /// The proof's Hoare checks after the last completed round, before
-    /// any certificate-recording walk.
-    hoare_checks: Option<usize>,
-}
-
-impl SpecRun {
-    /// Folds this spec into the run totals. `verify` reports the useless-
-    /// cache size and Hoare checks of the last spec that completed a
-    /// round, not their sum over specs.
-    fn fold_into(&self, stats: &mut RunStats) {
-        let gauges = (stats.useless_len, stats.hoare_checks);
-        stats.add_engine(&self.engine.stats, 0);
-        stats.proof_size = stats.proof_size.max(self.proof.proof_size());
-        (stats.useless_len, stats.hoare_checks) = match self.hoare_checks {
-            Some(h) => (self.engine.stats.useless_len, h),
-            None => gauges,
-        };
-    }
-}
-
-fn verify_spec(
-    pool: &mut TermPool,
-    program: &Program,
-    spec: Spec,
-    config: &VerifierConfig,
-    slot: &mut Option<SpecRun>,
-) -> (Verdict, Option<SpecCert>) {
-    let run = slot.insert(SpecRun {
-        engine: Engine::new(pool, program, spec, config),
-        proof: ProofAutomaton::new(),
-        hoare_checks: None,
-    });
-    let governor = pool.governor().clone();
-    for _round in 0..config.max_rounds {
-        if let Err(g) = governor.charge(Category::Rounds) {
-            return (Verdict::GaveUp(g), None);
-        }
-        let outcome = run.engine.round(pool, program, &mut run.proof);
-        run.hoare_checks = Some(run.proof.stats().hoare_checks);
-        match outcome {
-            RoundOutcome::Refined => {}
-            RoundOutcome::Proven => {
-                let cert = run.engine.record_spec_cert(pool, program, &mut run.proof);
-                return (Verdict::Correct, cert);
-            }
-            RoundOutcome::Bug(trace) => return (Verdict::Incorrect { trace }, None),
-            RoundOutcome::GaveUp(g) => return (Verdict::GaveUp(g), None),
-            // The governor recorded the cancellation that stopped the round.
-            RoundOutcome::Cancelled => {
-                let g = governor
-                    .give_up()
-                    .unwrap_or_else(|| GiveUp::new(Category::Cancelled, "governor tripped"));
-                return (Verdict::GaveUp(g), None);
-            }
-        }
-    }
-    (
-        Verdict::gave_up(
-            Category::Rounds,
-            format!("no proof within {} refinement rounds", config.max_rounds),
-        ),
-        None,
-    )
+pub fn verify(pool: &mut TermPool, program: &Program, config: &VerifierConfig) -> Outcome {
+    drive(pool, program, &Run::single(config)).outcome
 }

@@ -3,10 +3,8 @@
 
 use automata::bitset::BitSet;
 use automata::dfa::DfaBuilder;
-use gemcutter::portfolio::{
-    adaptive_verify, default_portfolio, parallel_verify, portfolio_verify, EngineStatus,
-    ParallelConfig,
-};
+use gemcutter::drive::{drive, EngineStatus, Run, Schedule};
+use gemcutter::portfolio::{default_portfolio, portfolio_verify};
 use gemcutter::verify::{verify, OrderSpec, Verdict, VerifierConfig};
 use program::concurrent::Program;
 use program::stmt::{SimpleStmt, Statement};
@@ -127,7 +125,12 @@ fn racing_and_adaptive_portfolios_agree() {
         let race = portfolio_verify(&mut pool, &p, &default_portfolio(), true);
         let mut pool2 = TermPool::new();
         let p2 = two_inc(&mut pool2, bound);
-        let (adaptive, winner) = adaptive_verify(&mut pool2, &p2, &default_portfolio(), 200);
+        let shared = drive(
+            &mut pool2,
+            &p2,
+            &Run::new(Schedule::TakeTurns, default_portfolio()),
+        );
+        let (adaptive, winner) = (shared.outcome, shared.winner);
         assert_eq!(
             race.outcome.verdict.is_correct(),
             adaptive.verdict.is_correct(),
@@ -146,7 +149,14 @@ fn racing_and_adaptive_portfolios_agree() {
 fn adaptive_respects_round_budget() {
     let mut pool = TermPool::new();
     let p = two_inc(&mut pool, 2);
-    let (outcome, winner) = adaptive_verify(&mut pool, &p, &default_portfolio(), 1);
+    // One shared round in total: the first member's budget is one round,
+    // every other member's is zero.
+    let mut members = default_portfolio();
+    for (i, member) in members.iter_mut().enumerate() {
+        member.max_rounds = usize::from(i == 0);
+    }
+    let shared = drive(&mut pool, &p, &Run::new(Schedule::TakeTurns, members));
+    let (outcome, winner) = (shared.outcome, shared.winner);
     // One shared round cannot finish this program.
     assert!(matches!(outcome.verdict, Verdict::GaveUp(_)));
     assert!(winner.is_none());
@@ -159,11 +169,12 @@ fn parallel_portfolio_agrees_with_sequential() {
         for bound in [2i128, 1] {
             let mut pool = TermPool::new();
             let p = two_inc(&mut pool, bound);
-            let pcfg = ParallelConfig {
-                deterministic,
-                ..ParallelConfig::default()
+            let schedule = if deterministic {
+                Schedule::Lockstep
+            } else {
+                Schedule::Race
             };
-            let result = parallel_verify(&pool, &p, &default_portfolio(), &pcfg);
+            let result = drive(&mut pool, &p, &Run::new(schedule, default_portfolio()));
             if bound == 2 {
                 assert!(
                     result.outcome.verdict.is_correct(),
@@ -194,11 +205,11 @@ fn parallel_portfolio_agrees_with_sequential() {
 fn parallel_zero_wall_clock_budget_degrades_gracefully() {
     let mut pool = TermPool::new();
     let p = two_inc(&mut pool, 2);
-    let pcfg = ParallelConfig {
-        wall_clock_budget: Some(std::time::Duration::ZERO),
-        ..ParallelConfig::default()
-    };
-    let result = parallel_verify(&pool, &p, &default_portfolio(), &pcfg);
+    let mut members = default_portfolio();
+    for member in &mut members {
+        member.govern.deadline = Some(std::time::Duration::ZERO);
+    }
+    let result = drive(&mut pool, &p, &Run::new(Schedule::Race, members));
     // Every engine runs out of budget before its first round; the run
     // still terminates cleanly with a give-up instead of hanging/panicking.
     assert!(matches!(result.outcome.verdict, Verdict::GaveUp(_)));
@@ -216,12 +227,11 @@ fn parallel_zero_wall_clock_budget_degrades_gracefully() {
 fn parallel_round_budget_degrades_gracefully() {
     let mut pool = TermPool::new();
     let p = two_inc(&mut pool, 2);
-    let pcfg = ParallelConfig {
-        deterministic: true,
-        max_rounds_per_engine: 1,
-        ..ParallelConfig::default()
-    };
-    let result = parallel_verify(&pool, &p, &default_portfolio(), &pcfg);
+    let mut members = default_portfolio();
+    for member in &mut members {
+        member.max_rounds = 1;
+    }
+    let result = drive(&mut pool, &p, &Run::new(Schedule::Lockstep, members));
     match &result.outcome.verdict {
         Verdict::GaveUp(g) => assert_eq!(g.category, gemcutter::Category::Rounds, "{g}"),
         other => panic!("expected round-budget give-up, got {other:?}"),
@@ -237,11 +247,11 @@ fn parallel_deterministic_runs_are_reproducible() {
         .map(|_| {
             let mut pool = TermPool::new();
             let p = two_inc(&mut pool, 2);
-            let pcfg = ParallelConfig {
-                deterministic: true,
-                ..ParallelConfig::default()
-            };
-            let r = parallel_verify(&pool, &p, &default_portfolio(), &pcfg);
+            let r = drive(
+                &mut pool,
+                &p,
+                &Run::new(Schedule::Lockstep, default_portfolio()),
+            );
             (r.outcome.verdict.is_correct(), r.winner, r.engines)
         })
         .collect();

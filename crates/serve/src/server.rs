@@ -28,7 +28,7 @@
 //!   pre-warms the shared query cache from persisted entries).
 //! * **Request-level fault isolation** — every request runs under
 //!   `catch_unwind` with a *fresh* `TermPool` (sharing only the panic-safe
-//!   query cache), inside [`gemcutter::supervise`]'s escalation ladder and
+//!   query cache), inside [`gemcutter::drive`]'s escalation ladder and
 //!   a per-request governor deadline capped by the server's
 //!   `request_timeout`. A panicking request returns a structured error,
 //!   the poisoned worker thread is quarantined (it exits, discarding all
@@ -50,9 +50,9 @@ use crate::proto::{
 };
 use crate::store::{PersistMode, ProofStore, SharedStore, StoreRecord, StoredVerdict};
 use gemcutter::certify::{check_certificate, CertifyMode};
+use gemcutter::drive::{drive, RetryPolicy, Run};
 use gemcutter::govern::{Category, FaultPlan};
-use gemcutter::snapshot::{program_fingerprint, Snapshot};
-use gemcutter::supervise::{supervised_verify, RetryPolicy, SuperviseConfig};
+use gemcutter::snapshot::program_fingerprint;
 use gemcutter::verify::{Verdict, VerifierConfig};
 use smt::qcache::QueryCache;
 use smt::term::TermPool;
@@ -522,7 +522,7 @@ fn spawn_worker(
 }
 
 /// Serves one verification request end to end: compile, store lookup,
-/// warm-seeded supervised run, store write-back.
+/// warm-seeded driver run with the retry ladder, store write-back.
 fn handle_verify(shared: &Shared, job: &Job) -> Response {
     let start = Instant::now();
     let finish = |mut response: Response, shared: &Shared| {
@@ -545,7 +545,7 @@ fn handle_verify(shared: &Shared, job: &Job) -> Response {
 
     // Test hook (the wire-level sibling of `crash_after`): every panic a
     // fault plan can inject is already contained one layer down, inside
-    // the supervisor's round-level `catch_unwind`, so this is the only
+    // the driver's round-level `catch_unwind`, so this is the only
     // deterministic way to exercise the worker's own outermost
     // quarantine-and-replace layer from a protocol test.
     if job.opts.faults.as_deref() == Some("worker:panic") {
@@ -703,25 +703,15 @@ fn handle_verify(shared: &Shared, job: &Job) -> Response {
         }
     }
 
-    let scfg = SuperviseConfig {
-        policy: RetryPolicy::with_retries(job.opts.retries.unwrap_or(shared.config.retries)),
-        checkpoint: None,
-        // Warm seeds ride the supervisor's resume path as a synthetic
-        // zero-progress snapshot: assertions are seeded as candidates
-        // (re-validated by Hoare queries — soundness costs nothing), while
-        // all counters start at zero so stats stay honest.
-        resume: (!warm.is_empty()).then(|| Snapshot {
-            program_hash: fingerprint,
-            config_name: config.name.clone(),
-            attempt: 0,
-            specs_done: 0,
-            rounds_completed: 0,
-            give_ups: Vec::new(),
-            assertions: warm.clone(),
-        }),
-        interrupt: None,
+    // Warm seeds are candidates the proof automaton re-validates with
+    // Hoare queries: soundness costs nothing, and every counter starts at
+    // zero.
+    let run = Run {
+        retry: RetryPolicy::with_retries(job.opts.retries.unwrap_or(shared.config.retries)),
+        seed: warm.clone(),
+        ..Run::single(&config)
     };
-    let sup = supervised_verify(&mut pool, &program, &config, &scfg);
+    let sup = drive(&mut pool, &program, &run);
     shared
         .useless_probes
         .fetch_add(sup.outcome.stats.useless_probes as u64, Ordering::Relaxed);

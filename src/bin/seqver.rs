@@ -13,16 +13,12 @@
 use seqver::automata::dot::to_dot;
 use seqver::cpl;
 use seqver::gemcutter::certify::{check_certificate, CertifyMode};
+use seqver::gemcutter::drive::{drive, RetryPolicy, Run, Schedule};
 use seqver::gemcutter::govern::{Category, FaultPlan, GovernorConfig};
-use seqver::gemcutter::portfolio::{
-    default_portfolio, parallel_verify, portfolio_verify, ParallelConfig,
-};
+use seqver::gemcutter::portfolio::{default_portfolio, portfolio_verify};
 use seqver::gemcutter::snapshot::fnv1a;
 use seqver::gemcutter::snapshot::Snapshot;
-use seqver::gemcutter::supervise::{
-    supervised_parallel_verify, supervised_verify, RetryPolicy, SuperviseConfig,
-};
-use seqver::gemcutter::verify::{verify, OrderSpec, Verdict, VerifierConfig};
+use seqver::gemcutter::verify::{OrderSpec, Verdict, VerifierConfig};
 use seqver::program::commutativity::{CommutativityLevel, CommutativityOracle};
 use seqver::program::concurrent::{Program, Spec};
 use seqver::reduction::reduce::{reduction_automaton, ReductionConfig};
@@ -384,6 +380,9 @@ fn governed_portfolio(flags: &Flags) -> Vec<VerifierConfig> {
         member.govern = flags.govern.clone();
         member.use_qcache = flags.qcache;
         member.solver = flags.solver;
+        if let Some(r) = flags.max_rounds {
+            member.max_rounds = r;
+        }
     }
     members
 }
@@ -439,16 +438,6 @@ fn install_shutdown_signals(flag: Arc<AtomicBool>) {
     let _ = INTERRUPT.set(flag);
 }
 
-/// Supervision counters appended to the stats line.
-struct SupervisionReport {
-    attempts: usize,
-    recycled: usize,
-    rounds_skipped: usize,
-    hit_rate: f64,
-    interrupted: bool,
-    checkpoint_error: Option<String>,
-}
-
 fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
     let flags = parse_flags(args)?;
     let mut pool = TermPool::new();
@@ -469,61 +458,8 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
     if supervised && flags.portfolio {
         return Err("--retries is not supported with --portfolio (use --parallel)".to_owned());
     }
-    let mut policy = RetryPolicy::with_retries(flags.retries);
-    if let Some(f) = flags.escalate {
-        policy = policy.escalating_by(f);
-    }
-    let mut supervision: Option<SupervisionReport> = None;
-    let (verdict, stats, config_name, certificate) = if flags.parallel {
-        let mut pcfg = ParallelConfig {
-            deterministic: flags.deterministic,
-            wall_clock_budget: flags.govern.deadline,
-            ..ParallelConfig::default()
-        };
-        if let Some(r) = flags.max_rounds {
-            pcfg.max_rounds_per_engine = r;
-        }
-        if supervised {
-            let sup = supervised_parallel_verify(
-                &pool,
-                &program,
-                &governed_portfolio(&flags),
-                &pcfg,
-                &policy,
-            );
-            supervision = Some(SupervisionReport {
-                attempts: sup.attempts.len(),
-                recycled: sup.recycled_assertions,
-                rounds_skipped: sup.rounds_skipped,
-                hit_rate: sup.recycle_hit_rate(),
-                interrupted: false,
-                checkpoint_error: None,
-            });
-            let name = sup
-                .result
-                .winner
-                .clone()
-                .unwrap_or_else(|| "parallel-portfolio".into());
-            (
-                sup.result.outcome.verdict,
-                sup.result.outcome.stats,
-                name,
-                sup.result.outcome.certificate,
-            )
-        } else {
-            let result = parallel_verify(&pool, &program, &governed_portfolio(&flags), &pcfg);
-            let name = result
-                .winner
-                .clone()
-                .unwrap_or_else(|| "parallel-portfolio".into());
-            (
-                result.outcome.verdict,
-                result.outcome.stats,
-                name,
-                result.outcome.certificate,
-            )
-        }
-    } else if flags.portfolio {
+    let mut driven = None;
+    let (verdict, stats, config_name, certificate) = if flags.portfolio {
         let result = portfolio_verify(&mut pool, &program, &governed_portfolio(&flags), true);
         let name = result.winner.clone().unwrap_or_else(|| "portfolio".into());
         (
@@ -532,8 +468,11 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
             name,
             result.outcome.certificate,
         )
-    } else if supervised {
-        let config = build_config(&flags)?;
+    } else {
+        let mut retry = RetryPolicy::with_retries(flags.retries);
+        if let Some(f) = flags.escalate {
+            retry = retry.escalating_by(f);
+        }
         let resume = match &flags.resume {
             Some(path) => {
                 let snap = Snapshot::load(path)?;
@@ -547,36 +486,29 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
             }
             None => None,
         };
-        let scfg = SuperviseConfig {
-            policy,
-            checkpoint: flags.checkpoint.clone(),
-            resume,
-            interrupt: flags.checkpoint.is_some().then(install_sigint),
+        let (schedule, members) = match (flags.parallel, flags.deterministic) {
+            (false, _) => (Schedule::TakeTurns, vec![build_config(&flags)?]),
+            (true, true) => (Schedule::Lockstep, governed_portfolio(&flags)),
+            (true, false) => (Schedule::Race, governed_portfolio(&flags)),
         };
-        let sup = supervised_verify(&mut pool, &program, &config, &scfg);
-        supervision = Some(SupervisionReport {
-            attempts: sup.attempts.len(),
-            recycled: sup.recycled_assertions,
-            rounds_skipped: sup.rounds_skipped,
-            hit_rate: sup.recycle_hit_rate(),
-            interrupted: sup.interrupted,
-            checkpoint_error: sup.checkpoint_error.clone(),
-        });
-        (
-            sup.outcome.verdict,
-            sup.outcome.stats,
-            config.name,
-            sup.outcome.certificate,
-        )
-    } else {
-        let config = build_config(&flags)?;
-        let outcome = verify(&mut pool, &program, &config);
-        (
-            outcome.verdict,
-            outcome.stats,
-            config.name,
-            outcome.certificate,
-        )
+        let run = Run {
+            members,
+            schedule,
+            retry,
+            resume,
+            checkpoint: flags.checkpoint.clone(),
+            interrupt: flags.checkpoint.is_some().then(install_sigint),
+            ..Run::default()
+        };
+        let result = drive(&mut pool, &program, &run);
+        let name = match (flags.parallel, &result.winner) {
+            (false, _) => run.members[0].name.clone(),
+            (true, Some(winner)) => winner.clone(),
+            (true, None) => "parallel-portfolio".to_owned(),
+        };
+        let outcome = result.outcome.clone();
+        driven = supervised.then_some(result);
+        (outcome.verdict, outcome.stats, name, outcome.certificate)
     };
     println!(
         "{}: {} threads, {} statements (config: {config_name})",
@@ -648,10 +580,13 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
         stats.useless_len,
         stats.time
     );
-    if let Some(sup) = &supervision {
+    if let Some(sup) = &driven {
         println!(
             "attempts={} recycled={} rounds_skipped={} hit_rate={:.2}",
-            sup.attempts, sup.recycled, sup.rounds_skipped, sup.hit_rate
+            sup.attempts.len(),
+            sup.recycled_assertions,
+            sup.rounds_skipped,
+            sup.recycle_hit_rate()
         );
         if sup.interrupted {
             if let Some(path) = &flags.checkpoint {

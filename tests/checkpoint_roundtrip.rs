@@ -8,9 +8,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
+use seqver::gemcutter::drive::{drive, RetryPolicy, Run};
 use seqver::gemcutter::govern::{FaultPlan, GovernorConfig};
 use seqver::gemcutter::snapshot::Snapshot;
-use seqver::gemcutter::supervise::{supervised_verify, RetryPolicy, SuperviseConfig};
 use seqver::gemcutter::verify::VerifierConfig;
 use seqver::program::concurrent::Program;
 use seqver::smt::TermPool;
@@ -68,11 +68,10 @@ proptest! {
 
         // Reference: uninterrupted, unlimited run.
         let (mut pool, p) = compile(&source);
-        let reference = supervised_verify(
+        let reference = drive(
             &mut pool,
             &p,
-            &VerifierConfig::gemcutter_seq(),
-            &SuperviseConfig::default(),
+            &Run::single(&VerifierConfig::gemcutter_seq()),
         );
 
         // Kill: abort deterministically at `abort_round` while writing
@@ -86,13 +85,12 @@ proptest! {
             ..VerifierConfig::gemcutter_seq()
         };
         let (mut pool2, p2) = compile(&source);
-        let killed = supervised_verify(
+        let killed = drive(
             &mut pool2,
             &p2,
-            &faulty,
-            &SuperviseConfig {
+            &Run {
                 checkpoint: Some(ckpt.clone()),
-                ..SuperviseConfig::default()
+                ..Run::single(&faulty)
             },
         );
         prop_assert!(killed.checkpoint_error.is_none(), "{:?}", killed.checkpoint_error);
@@ -107,14 +105,13 @@ proptest! {
 
             // Re-verify from the parsed copy.
             let (mut pool3, p3) = compile(&source);
-            let resumed = supervised_verify(
+            let resumed = drive(
                 &mut pool3,
                 &p3,
-                &VerifierConfig::gemcutter_seq(),
-                &SuperviseConfig {
-                    policy: RetryPolicy::default(),
+                &Run {
+                    retry: RetryPolicy::default(),
                     resume: Some(reparsed),
-                    ..SuperviseConfig::default()
+                    ..Run::single(&VerifierConfig::gemcutter_seq())
                 },
             );
             prop_assert_eq!(

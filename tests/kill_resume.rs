@@ -7,9 +7,9 @@
 
 use std::path::{Path, PathBuf};
 
+use seqver::gemcutter::drive::{drive, Driven, Run};
 use seqver::gemcutter::govern::{FaultPlan, GovernorConfig};
 use seqver::gemcutter::snapshot::Snapshot;
-use seqver::gemcutter::supervise::{supervised_verify, SuperviseConfig, SupervisedOutcome};
 use seqver::gemcutter::verify::VerifierConfig;
 use seqver::program::concurrent::Program;
 use seqver::smt::TermPool;
@@ -31,9 +31,16 @@ fn scratch(tag: &str) -> PathBuf {
     ))
 }
 
-fn run_clean(name: &str, scfg: &SuperviseConfig) -> SupervisedOutcome {
+fn run_clean(name: &str, run: Run) -> Driven {
     let (mut pool, p) = compile_example(name);
-    supervised_verify(&mut pool, &p, &VerifierConfig::gemcutter_seq(), scfg)
+    drive(
+        &mut pool,
+        &p,
+        &Run {
+            members: vec![VerifierConfig::gemcutter_seq()],
+            ..run
+        },
+    )
 }
 
 /// Aborts `name` at `abort_round` with checkpointing on; returns the
@@ -47,13 +54,12 @@ fn kill_at(name: &str, abort_round: u64, ckpt: &Path) -> Option<Snapshot> {
         },
         ..VerifierConfig::gemcutter_seq()
     };
-    let killed = supervised_verify(
+    let killed = drive(
         &mut pool,
         &p,
-        &config,
-        &SuperviseConfig {
+        &Run {
             checkpoint: Some(ckpt.to_path_buf()),
-            ..SuperviseConfig::default()
+            ..Run::single(&config)
         },
     );
     assert!(
@@ -68,19 +74,19 @@ fn kill_at(name: &str, abort_round: u64, ckpt: &Path) -> Option<Snapshot> {
     }
 }
 
-fn resume_with(name: &str, snap: Snapshot) -> SupervisedOutcome {
+fn resume_with(name: &str, snap: Snapshot) -> Driven {
     run_clean(
         name,
-        &SuperviseConfig {
+        Run {
             resume: Some(snap),
-            ..SuperviseConfig::default()
+            ..Run::default()
         },
     )
 }
 
 /// Kill at every early round boundary and check resume equivalence.
 fn check_kill_resume(name: &str, abort_rounds: &[u64]) {
-    let reference = run_clean(name, &SuperviseConfig::default());
+    let reference = run_clean(name, Run::default());
     for &abort in abort_rounds {
         let ckpt = scratch(&format!("{name}-{abort}"));
         let Some(snap) = kill_at(name, abort, &ckpt) else {
@@ -136,9 +142,9 @@ fn resume_refuses_a_different_program() {
     let snap = kill_at("chain-medium.cpl", 6, &ckpt).expect("fault should fire mid-proof");
     let resumed = run_clean(
         "chain-trio.cpl",
-        &SuperviseConfig {
+        Run {
             resume: Some(snap),
-            ..SuperviseConfig::default()
+            ..Run::default()
         },
     );
     let give_up = resumed

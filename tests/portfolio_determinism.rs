@@ -1,5 +1,5 @@
 //! Determinism of the parallel portfolio's lockstep mode: with
-//! `deterministic: true`, [`parallel_verify`] must be a pure function of
+//! [`Schedule::Lockstep`], [`drive`] must be a pure function of
 //! the program and the engine list — verdict, winner, per-engine round
 //! counts and proof sizes identical across repeated runs, regardless of
 //! thread scheduling. The determinism contract extends to certificates:
@@ -8,7 +8,7 @@
 
 use seqver::bench_suite;
 use seqver::gemcutter::certify::{check_certificate, CertifyMode};
-use seqver::gemcutter::portfolio::{parallel_verify, ParallelConfig};
+use seqver::gemcutter::drive::{drive, Run, Schedule};
 use seqver::gemcutter::verify::{verify, Verdict, VerifierConfig};
 use seqver::smt::TermPool;
 
@@ -30,17 +30,13 @@ fn assert_reproducible(name: &str) {
         .into_iter()
         .find(|b| b.name == name)
         .unwrap_or_else(|| panic!("benchmark {name} not in the suite"));
-    let configs = engines();
-    let pcfg = ParallelConfig {
-        deterministic: true,
-        ..ParallelConfig::default()
-    };
+    let lockstep = Run::new(Schedule::Lockstep, engines());
 
     let mut reference = None;
     for run in 0..5 {
         let mut pool = TermPool::new();
         let p = bench.compile(&mut pool);
-        let result = parallel_verify(&pool, &p, &configs, &pcfg);
+        let result = drive(&mut pool, &p, &lockstep);
         let fingerprint = (
             result.outcome.verdict.clone(),
             result.winner.clone(),
@@ -72,19 +68,18 @@ fn deterministic_parallel_certificates_check_and_are_stable() {
         .into_iter()
         .find(|b| b.name == "peterson")
         .expect("peterson in the suite");
-    let configs = vec![
-        VerifierConfig::gemcutter_seq(),
-        VerifierConfig::gemcutter_lockstep(),
-    ];
-    let pcfg = ParallelConfig {
-        deterministic: true,
-        ..ParallelConfig::default()
-    };
+    let lockstep = Run::new(
+        Schedule::Lockstep,
+        vec![
+            VerifierConfig::gemcutter_seq(),
+            VerifierConfig::gemcutter_lockstep(),
+        ],
+    );
     let mut reference: Option<String> = None;
     for run in 0..5 {
         let mut pool = TermPool::new();
         let p = bench.compile(&mut pool);
-        let result = parallel_verify(&pool, &p, &configs, &pcfg);
+        let result = drive(&mut pool, &p, &lockstep);
         assert_eq!(result.outcome.verdict, Verdict::Correct, "run {run}");
         let cert = result
             .outcome

@@ -1,21 +1,20 @@
-//! Differential testing of the verification entry points on randomly
-//! generated concurrent programs: the plain single-order loop
-//! ([`verify`]), the single-threaded shared-proof portfolio
-//! ([`adaptive_verify`]) and the multi-threaded parallel portfolio
-//! ([`parallel_verify`], deterministic mode) must never contradict each
-//! other's conclusive verdicts, and every reported bug trace must replay
-//! as feasible under exact trace analysis. On fixed corpus programs, the
-//! single-engine drivers must also report the same run counters.
+//! Differential testing of the driver's schedules on randomly generated
+//! concurrent programs: the plain single-order loop ([`verify`]), the
+//! single-threaded shared-proof portfolio ([`Schedule::TakeTurns`]) and the
+//! multi-threaded portfolio ([`Schedule::Lockstep`]) must never contradict
+//! each other's conclusive verdicts, and every reported bug trace must
+//! replay as feasible under exact trace analysis. On fixed corpus
+//! programs, every single-member schedule must also report the same run
+//! counters.
 
 use proptest::prelude::*;
 use seqver::automata::bitset::BitSet;
 use seqver::automata::dfa::DfaBuilder;
 use seqver::bench_suite;
+use seqver::gemcutter::drive::{drive, RetryPolicy, Run, Schedule};
 use seqver::gemcutter::interpolate::{
     analyze_trace_with_mode, InterpolationMode, InterpolationStats, TraceResult,
 };
-use seqver::gemcutter::portfolio::{adaptive_verify, parallel_verify, ParallelConfig};
-use seqver::gemcutter::supervise::{supervised_verify, SuperviseConfig};
 use seqver::gemcutter::verify::{specs_of, verify, Outcome, RunStats, Verdict, VerifierConfig};
 use seqver::program::concurrent::{LetterId, Program, Spec};
 use seqver::program::stmt::{SimpleStmt, Statement};
@@ -151,11 +150,10 @@ proptest! {
             let outcome = verify(&mut pool, &p, config);
             verdicts.push((format!("verify/{}", config.name), outcome.verdict));
         }
-        let (adaptive, _) = adaptive_verify(&mut pool, &p, &configs, 300);
-        verdicts.push(("adaptive".to_owned(), adaptive.verdict));
-        let pcfg = ParallelConfig { deterministic: true, ..ParallelConfig::default() };
-        let parallel = parallel_verify(&pool, &p, &configs, &pcfg);
-        verdicts.push(("parallel-det".to_owned(), parallel.outcome.verdict));
+        let shared = drive(&mut pool, &p, &Run::new(Schedule::TakeTurns, configs.clone()));
+        verdicts.push(("take-turns".to_owned(), shared.outcome.verdict));
+        let parallel = drive(&mut pool, &p, &Run::new(Schedule::Lockstep, configs.clone()));
+        verdicts.push(("lockstep".to_owned(), parallel.outcome.verdict));
 
         // No two conclusive verdicts may contradict.
         let correct: Vec<&str> = verdicts
@@ -225,43 +223,49 @@ proptest! {
     }
 }
 
-/// The counters every driver folds from its engines, minus wall time and
-/// query-cache attribution.
-fn engine_counters(stats: &RunStats) -> [(&'static str, usize); 12] {
+/// The counters every schedule folds from its engines, minus wall time.
+fn engine_counters(stats: &RunStats) -> [(&'static str, u64); 14] {
     [
-        ("rounds", stats.rounds),
-        ("visited_states", stats.visited_states),
-        ("cache_skips", stats.cache_skips),
-        ("useless_probes", stats.useless_probes),
-        ("useless_len", stats.useless_len),
-        ("hoare_checks", stats.hoare_checks),
-        ("proof_size", stats.proof_size),
+        ("rounds", stats.rounds as u64),
+        ("visited_states", stats.visited_states as u64),
+        ("cache_skips", stats.cache_skips as u64),
+        ("useless_probes", stats.useless_probes as u64),
+        ("useless_len", stats.useless_len as u64),
+        ("hoare_checks", stats.hoare_checks as u64),
+        ("proof_size", stats.proof_size as u64),
         (
             "interpolation.feasibility_checks",
-            stats.interpolation.feasibility_checks,
+            stats.interpolation.feasibility_checks as u64,
         ),
         (
             "interpolation.sliced_statements",
-            stats.interpolation.sliced_statements,
+            stats.interpolation.sliced_statements as u64,
         ),
         (
             "interpolation.farkas_chains",
-            stats.interpolation.farkas_chains,
+            stats.interpolation.farkas_chains as u64,
         ),
-        ("certs_dropped", stats.certs_dropped),
-        ("max_round_visited", stats.max_round_visited),
+        ("certs_dropped", stats.certs_dropped as u64),
+        ("max_round_visited", stats.max_round_visited as u64),
+        ("qcache_hits", stats.qcache_hits),
+        ("qcache_misses", stats.qcache_misses),
     ]
 }
 
-/// `verify`, a single-attempt `supervised_verify` and a single-member
-/// `adaptive_verify` run the same engine rounds, so they must report the
-/// same counters: none may drop one, and none may count the Hoare checks
-/// of the certificate-recording walk. (The programs have one spec each;
-/// with several, `verify` reports the last spec's gauges.)
+/// `verify` and every single-member schedule — take turns with a retry
+/// ladder, lockstep and race — run the same engine rounds, so they must
+/// report the same counters: none may drop one, none may count the Hoare
+/// checks of the certificate-recording walk, and all attribute the query
+/// cache by the same rule. `bluetooth-bug-2` has two specs.
 #[test]
 fn single_engine_drivers_report_the_same_counters() {
     let config = VerifierConfig::gemcutter_seq();
-    for name in ["counter-safe-2", "counter-bug-2"] {
+    for (name, specs) in [
+        ("counter-safe-2", 1),
+        ("counter-bug-2", 1),
+        ("bluetooth-2", 1),
+        ("bluetooth-bug-2", 2),
+    ] {
         let bench = bench_suite::all()
             .into_iter()
             .find(|b| b.name == name)
@@ -269,24 +273,32 @@ fn single_engine_drivers_report_the_same_counters() {
         let run = |drive: &dyn Fn(&mut TermPool, &Program) -> Outcome| {
             let mut pool = TermPool::new();
             let p = bench.compile(&mut pool);
-            assert_eq!(specs_of(&p).len(), 1, "{name}: expected one spec");
+            assert_eq!(specs_of(&p).len(), specs, "{name}: spec count");
             drive(&mut pool, &p)
         };
         let plain = run(&|pool, p| verify(pool, p, &config));
-        let supervised = run(&|pool, p| {
-            supervised_verify(pool, p, &config, &SuperviseConfig::default()).outcome
-        });
-        let adaptive = run(&|pool, p| {
-            adaptive_verify(pool, p, std::slice::from_ref(&config), config.max_rounds).0
-        });
+        let with_retry = Run::single(&config).retrying(RetryPolicy::with_retries(2));
+        let lockstep = Run::new(Schedule::Lockstep, vec![config.clone()]);
+        let race = Run::new(Schedule::Race, vec![config.clone()]);
+        let drivers = [
+            (
+                "retrying",
+                run(&|pool, p| drive(pool, p, &with_retry).outcome),
+            ),
+            (
+                "lockstep",
+                run(&|pool, p| drive(pool, p, &lockstep).outcome),
+            ),
+            ("race", run(&|pool, p| drive(pool, p, &race).outcome)),
+        ];
         assert_eq!(
             plain.verdict.is_correct(),
-            name == "counter-safe-2",
+            !name.contains("bug"),
             "{name}: unexpected verdict"
         );
         assert!(plain.stats.useless_probes > 0 && plain.stats.useless_len > 0);
         assert!(plain.stats.hoare_checks > 0);
-        for (driver, outcome) in [("supervised", &supervised), ("adaptive", &adaptive)] {
+        for (driver, outcome) in &drivers {
             assert_eq!(outcome.verdict, plain.verdict, "{name}: {driver} verdict");
             assert_eq!(
                 engine_counters(&outcome.stats),

@@ -5,8 +5,8 @@
 //! *candidates* — every proof transition is re-validated by Hoare
 //! queries, so a bad seed costs completeness, never soundness).
 
+use seqver::gemcutter::drive::{drive, RetryPolicy, Run};
 use seqver::gemcutter::govern::GovernorConfig;
-use seqver::gemcutter::supervise::{supervised_verify, RetryPolicy, SuperviseConfig};
 use seqver::gemcutter::verify::{verify, Verdict, VerifierConfig};
 use seqver::smt::TermPool;
 
@@ -78,7 +78,7 @@ fn escalation_converts_budget_give_up_to_conclusive() {
 
     // With the ladder the same budget converges.
     let policy = RetryPolicy::with_retries(3).escalating_by(4);
-    let sup = supervised_verify(&mut pool, &p, &config, &SuperviseConfig::retrying(policy));
+    let sup = drive(&mut pool, &p, &Run::single(&config).retrying(policy));
     assert!(
         sup.outcome.verdict.is_correct(),
         "escalation should convert the give-up, got {:?}",
@@ -92,11 +92,10 @@ fn recycled_proofs_shrink_the_final_attempt() {
     let mut pool = TermPool::new();
     let p = seqver::cpl::compile(CHAIN_MEDIUM, &mut pool).unwrap();
     let policy = RetryPolicy::with_retries(3).escalating_by(4);
-    let sup = supervised_verify(
+    let sup = drive(
         &mut pool,
         &p,
-        &tight_config(400),
-        &SuperviseConfig::retrying(policy),
+        &Run::single(&tight_config(400)).retrying(policy),
     );
     assert!(sup.outcome.verdict.is_correct());
     assert!(
@@ -121,11 +120,10 @@ fn give_up_history_is_deduped_across_attempts() {
     // Factor 1: every rung re-runs the same fatal budget, so every
     // attempt gives up with the same (engine, category) key.
     let policy = RetryPolicy::with_retries(2).escalating_by(1);
-    let sup = supervised_verify(
+    let sup = drive(
         &mut pool,
         &p,
-        &tight_config(200),
-        &SuperviseConfig::retrying(policy),
+        &Run::single(&tight_config(200)).retrying(policy),
     );
     assert!(
         sup.outcome.verdict.give_up().is_some(),
@@ -149,11 +147,10 @@ fn seeding_never_flips_a_buggy_program() {
     let mut pool = TermPool::new();
     let p = seqver::cpl::compile(CHAIN_MEDIUM_BUGGY, &mut pool).unwrap();
     let policy = RetryPolicy::with_retries(3).escalating_by(4);
-    let sup = supervised_verify(
+    let sup = drive(
         &mut pool,
         &p,
-        &tight_config(400),
-        &SuperviseConfig::retrying(policy),
+        &Run::single(&tight_config(400)).retrying(policy),
     );
     assert!(
         !sup.outcome.verdict.is_correct(),
@@ -174,7 +171,7 @@ fn unlimited_budget_never_retries_and_matches_plain_verify() {
     let mut pool2 = TermPool::new();
     let p2 = seqver::cpl::compile(CHAIN_MEDIUM, &mut pool2).unwrap();
     let policy = RetryPolicy::with_retries(3).escalating_by(4);
-    let sup = supervised_verify(&mut pool2, &p2, &config, &SuperviseConfig::retrying(policy));
+    let sup = drive(&mut pool2, &p2, &Run::single(&config).retrying(policy));
 
     assert_eq!(sup.attempts.len(), 1, "nothing to retry");
     assert_eq!(sup.rounds_skipped, 0);
