@@ -16,9 +16,7 @@ use crate::check::{
     check_proof, record_reduction, CheckConfig, CheckResult, CheckStats, UselessCache,
 };
 use crate::govern::{Category, GiveUp};
-use crate::interpolate::{
-    analyze_trace_with_mode, InterpolationMode, InterpolationStats, TraceResult,
-};
+use crate::interpolate::{analyze_trace, InterpolationStats, TraceResult};
 use crate::proof::ProofAutomaton;
 use crate::verify::{OrderSpec, VerifierConfig};
 use program::commutativity::CommutativityOracle;
@@ -135,7 +133,6 @@ pub struct Engine {
     persistent: Option<PersistentSets>,
     useless: UselessCache,
     check_config: CheckConfig,
-    interpolation: InterpolationMode,
     history: TraceHistory,
     /// Assertions added to the proof by this engine's refinements since the
     /// last [`Engine::take_new_assertions`] call — the shareable increment a
@@ -172,7 +169,6 @@ impl Engine {
                 max_visited: config.max_visited_per_round,
                 ..CheckConfig::default()
             },
-            interpolation: config.interpolation,
             history: TraceHistory::new(),
             pending_broadcast: Vec::new(),
         }
@@ -272,12 +268,11 @@ impl Engine {
                         "refinement made no progress",
                     ))
                 } else {
-                    let analysis = analyze_trace_with_mode(
+                    let analysis = analyze_trace(
                         pool,
                         program,
                         &trace,
                         self.spec,
-                        self.interpolation,
                         &mut self.stats.interpolation,
                     );
                     match analysis {

@@ -42,24 +42,21 @@ pub struct InterpolationStats {
     pub feasibility_checks: usize,
     /// Statements sliced away by the unsat core.
     pub sliced_statements: usize,
-    /// Counterexamples interpolated via Farkas certificates.
-    pub farkas_chains: usize,
 }
 
-/// Which interpolation engine generates the assertion chain.
+/// The interpolation engine that generates the assertion chain. There is
+/// one: unsat-core-sliced strongest postconditions. The type is kept only
+/// so that the `seqbench` harness, which passes
+/// [`crate::verify::VerifierConfig::interpolation`] to
+/// [`analyze_trace_with_mode`], keeps compiling.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum InterpolationMode {
-    /// Unsat-core-sliced strongest postconditions (general; default).
+    /// Unsat-core-sliced strongest postconditions.
     #[default]
     SpChain,
-    /// Farkas sequence interpolants from the simplex certificate —
-    /// single-inequality assertions, applicable to conjunctive traces;
-    /// falls back to [`InterpolationMode::SpChain`] otherwise.
-    Farkas,
 }
 
-/// Analyzes the counterexample `trace` of `program` under `spec` with the
-/// default (sp-chain) interpolation engine.
+/// Analyzes the counterexample `trace` of `program` under `spec`.
 ///
 /// For [`Spec::ErrorOf`] the trace itself reaching the error location is
 /// the violation, so feasibility of the path condition decides. For
@@ -69,25 +66,6 @@ pub fn analyze_trace(
     program: &Program,
     trace: &[LetterId],
     spec: Spec,
-    stats: &mut InterpolationStats,
-) -> TraceResult {
-    analyze_trace_with_mode(
-        pool,
-        program,
-        trace,
-        spec,
-        InterpolationMode::SpChain,
-        stats,
-    )
-}
-
-/// As [`analyze_trace`], with an explicit interpolation engine.
-pub fn analyze_trace_with_mode(
-    pool: &mut TermPool,
-    program: &Program,
-    trace: &[LetterId],
-    spec: Spec,
-    mode: InterpolationMode,
     stats: &mut InterpolationStats,
 ) -> TraceResult {
     // 1. SSA encoding. The initial condition is split into its top-level
@@ -100,24 +78,11 @@ pub fn analyze_trace_with_mode(
         _ => vec![full_init],
     };
     let n_init = init_conjuncts.len();
-    let mut blocks: Vec<TermId> = init_conjuncts.clone();
-    // Per-position inverse version maps (current SSA version → program
-    // var), used to rename Farkas interpolants back to program variables.
-    let snapshot = |versions: &Versions| -> std::collections::HashMap<_, _> {
-        program
-            .globals()
-            .iter()
-            .map(|&g| (versions.current(g), g))
-            .collect()
-    };
-    let mut snapshots = vec![snapshot(&versions)];
-    let mut stmt_blocks: Vec<TermId> = Vec::with_capacity(trace.len());
+    let mut blocks: Vec<TermId> = init_conjuncts;
     for &l in trace {
         let stmt = program.statement(l).clone();
         let block = stmt.encode_ssa(pool, &mut versions);
-        stmt_blocks.push(block);
         blocks.push(block);
-        snapshots.push(snapshot(&versions));
     }
     if spec == Spec::PrePost {
         let neg_post = pool.not(program.post());
@@ -133,27 +98,10 @@ pub fn analyze_trace_with_mode(
         SatResult::Unsat => {}
     }
 
-    // 2b. Farkas interpolation (single-inequality assertions), when the
-    //     trace is conjunctive and rationally infeasible.
-    if mode == InterpolationMode::Farkas {
-        if let Some(chain) = farkas_chain(
-            pool,
-            trace,
-            spec,
-            &init_conjuncts,
-            &stmt_blocks,
-            &blocks,
-            &snapshots,
-        ) {
-            stats.farkas_chains += 1;
-            return TraceResult::Infeasible { chain };
-        }
-    }
-
     // 3. Unsat core over the blocks → relevant init conjuncts + statements.
     let core = unsat_core(pool, &blocks).unwrap_or_else(|| (0..blocks.len()).collect());
     let sliced_init = pool.and(
-        init_conjuncts
+        blocks[..n_init]
             .iter()
             .enumerate()
             .filter(|&(i, _)| core.contains(&i))
@@ -174,76 +122,17 @@ pub fn analyze_trace_with_mode(
     TraceResult::Unknown
 }
 
-/// Attempts a Farkas interpolant chain: requires every block to be a
-/// conjunction of linear atoms, rational infeasibility, and interpolants
-/// mentioning only live program variables.
-fn farkas_chain(
+/// As [`analyze_trace`]; `mode` has one value. Kept only so that the
+/// `seqbench` harness keeps compiling.
+pub fn analyze_trace_with_mode(
     pool: &mut TermPool,
+    program: &Program,
     trace: &[LetterId],
     spec: Spec,
-    init_conjuncts: &[TermId],
-    stmt_blocks: &[TermId],
-    all_blocks: &[TermId],
-    snapshots: &[std::collections::HashMap<smt::VarId, smt::VarId>],
-) -> Option<Vec<TermId>> {
-    use smt::interpolate::{farkas_sequence_interpolants_governed, Interpolant};
-
-    // Block 0: all init conjuncts; blocks 1..=n: statements; PrePost adds
-    // the ¬post block at the end.
-    let mut farkas_blocks: Vec<Vec<smt::LinearConstraint>> = Vec::new();
-    let mut init_block = Vec::new();
-    for &c in init_conjuncts {
-        init_block.extend(conjunctive_constraints(pool, c)?);
-    }
-    farkas_blocks.push(init_block);
-    for &b in stmt_blocks {
-        farkas_blocks.push(conjunctive_constraints(pool, b)?);
-    }
-    if spec == Spec::PrePost {
-        let neg_post_block = all_blocks.last().expect("PrePost appends ¬post");
-        farkas_blocks.push(conjunctive_constraints(pool, *neg_post_block)?);
-    }
-    let governor = pool.governor().clone();
-    let raw = farkas_sequence_interpolants_governed(&farkas_blocks, &governor)?;
-
-    // Positions 0..=trace.len() map to raw[1..=trace.len()+1].
-    let mut chain = Vec::with_capacity(trace.len() + 1);
-    for (k, snapshot) in snapshots.iter().enumerate().take(trace.len() + 1) {
-        let term = match &raw[k + 1] {
-            Interpolant::True => TermPool::TRUE,
-            Interpolant::False => TermPool::FALSE,
-            Interpolant::Constraint(c) => {
-                // Rename SSA versions back to program variables; bail if a
-                // non-live variable appears (should not happen — shared
-                // variables are exactly the live versions).
-                if !c.expr().vars().all(|v| snapshot.contains_key(&v)) {
-                    return None;
-                }
-                let renamed = c.rename(|v| snapshot[&v]);
-                pool.atom(renamed.expr().clone(), renamed.rel())
-            }
-        };
-        chain.push(term);
-    }
-    Some(chain)
-}
-
-/// The constraints of a purely conjunctive formula (`None` if it contains
-/// a disjunction or is `false`).
-fn conjunctive_constraints(pool: &TermPool, t: TermId) -> Option<Vec<smt::LinearConstraint>> {
-    use smt::term::Term;
-    match pool.term(t) {
-        Term::True => Some(Vec::new()),
-        Term::Atom(c) => Some(vec![c.clone()]),
-        Term::And(children) => {
-            let mut out = Vec::new();
-            for &c in children.iter() {
-                out.extend(conjunctive_constraints(pool, c)?);
-            }
-            Some(out)
-        }
-        Term::False | Term::Or(_) => None,
-    }
+    _mode: InterpolationMode,
+    stats: &mut InterpolationStats,
+) -> TraceResult {
+    analyze_trace(pool, program, trace, spec, stats)
 }
 
 /// Computes the sp-chain; `None` if the final assertion fails to certify

@@ -8,9 +8,9 @@
 //! Writes go through a temp file that is fsynced, renamed into place, and
 //! sealed with an fsync of the parent directory ([`write_atomic_durable`]),
 //! so even a power cut mid-write leaves either the previous complete
-//! snapshot or none at all, never a torn one; a `checksum` line over the
-//! body (verified on load) plus a trailing `end` marker additionally
-//! reject truncated or bit-rotted files.
+//! snapshot or none at all, never a torn one. The file is a header line
+//! and exactly one [`journal_frame`], whose length and checksum
+//! additionally reject truncated or bit-rotted files on load.
 //!
 //! Resuming ([`Snapshot::load`] + `seqver --resume`) seeds a fresh engine's
 //! proof automaton with the recycled assertions. This is sound by
@@ -25,17 +25,17 @@ use program::concurrent::Program;
 use smt::term::TermPool;
 use smt::transfer::ExportedTerm;
 use std::collections::hash_map::DefaultHasher;
+use std::ffi::OsStr;
 use std::hash::{Hash, Hasher};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Current snapshot format version; bumped on any incompatible change
-/// (v2 added the mandatory `checksum` line).
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// (v2 added a `checksum` line; v3 replaced it and the `end` marker with
+/// one [`journal_frame`]).
+pub const SNAPSHOT_VERSION: u32 = 3;
 
-/// The header line of a version-2 snapshot.
-const HEADER: &str = "seqver-snapshot v2";
-/// The trailing completeness marker.
-const FOOTER: &str = "end";
+/// The header line of a version-3 snapshot.
+const HEADER: &str = "seqver-snapshot v3";
 
 /// FNV-1a (64-bit) over raw bytes: a small, build- and process-stable
 /// checksum for the line-oriented persistence formats (snapshots and the
@@ -56,9 +56,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 // Write-ahead-journal frames
 // ---------------------------------------------------------------------------
 //
-// Shared between the persistence layers that append rather than rewrite
-// (today: the `seqver serve` proof store's WAL). A frame is one
-// self-delimiting, individually checksummed unit:
+// Shared by the `seqver serve` proof store's WAL, which appends many
+// frames, and by checkpoint snapshots, which hold exactly one. A frame is
+// one self-delimiting, individually checksummed unit:
 //
 // ```text
 // frame: <seq 016x> <checksum 016x> <len>\n<len bytes of body>
@@ -173,24 +173,62 @@ pub fn replay_journal(bytes: &[u8]) -> JournalReplay {
     }
 }
 
+/// The steps of [`write_atomic_durable_with`] after which its hook runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WriteStage {
+    /// The temp file holds every byte but is not yet fsynced.
+    TmpWritten,
+    /// The temp file is fsynced; the rename has not happened yet.
+    PreRename,
+    /// The rename is done; the parent directory is not yet fsynced.
+    PostRename,
+}
+
+/// The temp file that [`write_atomic_durable`] fills before renaming it
+/// over `path`: `<file name>.tmp` in the same directory. Appending (rather
+/// than replacing the extension) keeps it distinct from `path` itself even
+/// when `path` ends in `.tmp`, and distinct between `a.x` and `a.y`.
+fn temp_path(path: &Path) -> PathBuf {
+    let mut name = path
+        .file_name()
+        .map(OsStr::to_os_string)
+        .unwrap_or_default();
+    name.push(".tmp");
+    path.with_file_name(name)
+}
+
 /// Writes `text` to `path` atomically **and durably**: the bytes go to
-/// `path.tmp`, which is fsynced before the atomic `rename`, and the parent
-/// directory is fsynced after it — so after a crash (even a power cut) a
-/// reader observes either the previous complete file or the new complete
-/// file, never a torn or empty one. The directory fsync is best-effort on
-/// platforms that cannot open directories; the file fsync is mandatory.
+/// [`temp_path`], which is fsynced before the atomic `rename`, and the
+/// parent directory is fsynced after it — so after a crash (even a power
+/// cut) a reader observes either the previous complete file or the new
+/// complete file, never a torn or empty one. The directory fsync is
+/// best-effort on platforms that cannot open directories; the file fsync
+/// is mandatory.
 pub fn write_atomic_durable(path: &Path, text: &str) -> Result<(), String> {
+    write_atomic_durable_with(path, text, |_| {})
+}
+
+/// As [`write_atomic_durable`], calling `hook` after each [`WriteStage`]
+/// (the proof store charges its crash-injection sites there).
+pub fn write_atomic_durable_with(
+    path: &Path,
+    text: &str,
+    mut hook: impl FnMut(WriteStage),
+) -> Result<(), String> {
     use std::io::Write as _;
-    let tmp = path.with_extension("tmp");
+    let tmp = temp_path(path);
     let mut file = std::fs::File::create(&tmp)
         .map_err(|e| format!("cannot create `{}`: {e}", tmp.display()))?;
     file.write_all(text.as_bytes())
         .map_err(|e| format!("cannot write `{}`: {e}", tmp.display()))?;
+    hook(WriteStage::TmpWritten);
     file.sync_all()
         .map_err(|e| format!("cannot fsync `{}`: {e}", tmp.display()))?;
     drop(file);
+    hook(WriteStage::PreRename);
     std::fs::rename(&tmp, path)
         .map_err(|e| format!("cannot move `{}` into place: {e}", path.display()))?;
+    hook(WriteStage::PostRename);
     if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         // Make the rename itself durable. Opening a directory read-only
         // works on unix; degrade silently where it does not.
@@ -267,30 +305,17 @@ impl Snapshot {
         self.program_hash == program_fingerprint(pool, program)
     }
 
-    /// Renders the versioned text form. The second line is an explicit
-    /// `checksum` over everything after it (through the `end` marker),
-    /// verified by [`Snapshot::parse`].
+    /// Renders the versioned text form: the header line, then one
+    /// [`journal_frame`] whose body holds the key/value lines.
     pub fn to_text(&self) -> String {
-        let body = self.body_text();
-        let mut out = String::new();
-        out.push_str(HEADER);
-        out.push('\n');
-        out.push_str(&format!("checksum: {:016x}\n", fnv1a(body.as_bytes())));
-        out.push_str(&body);
-        out
-    }
-
-    /// The checksummed part of the text form (everything after the
-    /// `checksum` line, including the `end` marker).
-    fn body_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("program-hash: {:016x}\n", self.program_hash));
-        out.push_str(&format!("config: {}\n", sanitize(&self.config_name)));
-        out.push_str(&format!("attempt: {}\n", self.attempt));
-        out.push_str(&format!("specs-done: {}\n", self.specs_done));
-        out.push_str(&format!("rounds: {}\n", self.rounds_completed));
+        let mut body = String::new();
+        body.push_str(&format!("program-hash: {:016x}\n", self.program_hash));
+        body.push_str(&format!("config: {}\n", sanitize(&self.config_name)));
+        body.push_str(&format!("attempt: {}\n", self.attempt));
+        body.push_str(&format!("specs-done: {}\n", self.specs_done));
+        body.push_str(&format!("rounds: {}\n", self.rounds_completed));
         for g in &self.give_ups {
-            out.push_str(&format!(
+            body.push_str(&format!(
                 "give-up: {}\t{}\t{}\n",
                 g.give_up.category,
                 sanitize(&g.engine),
@@ -298,49 +323,38 @@ impl Snapshot {
             ));
         }
         for a in &self.assertions {
-            out.push_str(&format!("assertion: {}\n", a.to_text()));
+            body.push_str(&format!("assertion: {}\n", a.to_text()));
         }
-        out.push_str(FOOTER);
-        out.push('\n');
-        out
+        format!("{HEADER}\n{}", journal_frame(1, &body))
     }
 
     /// Parses the [`Snapshot::to_text`] form, rejecting version
-    /// mismatches, checksum mismatches, malformed lines and truncated
-    /// files.
+    /// mismatches, a torn or checksum-damaged frame, more or fewer than
+    /// one frame, trailing bytes and malformed lines.
     pub fn parse(text: &str) -> Result<Snapshot, String> {
-        let mut lines = text.lines();
-        match lines.next() {
-            Some(h) if h.trim_end() == HEADER => {}
-            Some(h) if h.starts_with("seqver-snapshot") => {
-                return Err(format!(
-                    "unsupported snapshot version `{h}` (this build reads v{SNAPSHOT_VERSION})"
-                ))
-            }
-            other => return Err(format!("not a seqver snapshot (first line {other:?})")),
+        let (header, frames) = text.split_once('\n').unwrap_or((text, ""));
+        if header != HEADER {
+            return Err(if header.starts_with("seqver-snapshot") {
+                format!(
+                    "unsupported snapshot version `{header}` (this build reads v{SNAPSHOT_VERSION})"
+                )
+            } else {
+                format!("not a seqver snapshot (first line {header:?})")
+            });
         }
-        // The checksum line covers the rest of the file byte-for-byte.
-        let after_header = match text.split_once('\n') {
-            Some((_, rest)) => rest,
-            None => return Err("truncated snapshot (missing `end` marker)".to_owned()),
-        };
-        let (checksum_line, body) = after_header
-            .split_once('\n')
-            .ok_or_else(|| "truncated snapshot (missing `end` marker)".to_owned())?;
-        let declared = checksum_line
-            .trim_end()
-            .strip_prefix("checksum: ")
-            .ok_or_else(|| format!("missing checksum line (found `{checksum_line}`)"))?;
-        let declared = u64::from_str_radix(declared, 16)
-            .map_err(|_| format!("invalid checksum `{declared}`"))?;
-        let actual = fnv1a(body.as_bytes());
-        if declared != actual {
+        let replay = replay_journal(frames.as_bytes());
+        if let Some(torn) = replay.torn {
+            return Err(match replay.frames.len() {
+                0 => format!("torn snapshot: {torn}"),
+                _ => format!("trailing bytes after the snapshot frame: {torn}"),
+            });
+        }
+        let [frame] = replay.frames.as_slice() else {
             return Err(format!(
-                "checksum mismatch (declared {declared:016x}, computed {actual:016x}) — \
-                 the snapshot is corrupted"
+                "expected exactly one snapshot frame, found {}",
+                replay.frames.len()
             ));
-        }
-        let lines = body.lines();
+        };
         let mut snapshot = Snapshot {
             program_hash: 0,
             config_name: String::new(),
@@ -350,17 +364,8 @@ impl Snapshot {
             give_ups: Vec::new(),
             assertions: Vec::new(),
         };
-        let mut complete = false;
         let mut seen_hash = false;
-        for line in lines {
-            if complete {
-                return Err("content after the `end` marker".to_owned());
-            }
-            let line = line.trim_end();
-            if line == FOOTER {
-                complete = true;
-                continue;
-            }
+        for line in frame.body.lines() {
             let (key, value) = line
                 .split_once(": ")
                 .ok_or_else(|| format!("malformed snapshot line `{line}`"))?;
@@ -402,9 +407,6 @@ impl Snapshot {
                 "assertion" => snapshot.assertions.push(ExportedTerm::parse(value)?),
                 other => return Err(format!("unknown snapshot key `{other}`")),
             }
-        }
-        if !complete {
-            return Err("truncated snapshot (missing `end` marker)".to_owned());
         }
         if !seen_hash {
             return Err("snapshot has no program-hash".to_owned());
@@ -557,13 +559,27 @@ mod tests {
     #[test]
     fn truncated_snapshot_is_rejected() {
         let text = sample().to_text();
-        // Drop the `end` marker: simulates a crash mid-write without the
-        // atomic rename (or a torn copy). The checksum catches it first.
-        let truncated = text.trim_end().trim_end_matches(FOOTER);
-        assert!(Snapshot::parse(truncated).is_err());
+        // Drop the last byte: simulates a crash mid-write without the
+        // atomic rename (or a torn copy). The frame length catches it.
+        let err = Snapshot::parse(&text[..text.len() - 1]).unwrap_err();
+        assert!(err.contains("torn"), "{err}");
         // Cutting mid-assertion is also rejected.
         let cut = &text[..text.len() / 2];
         assert!(Snapshot::parse(cut).is_err());
+        // So is a header with no frame at all.
+        assert!(Snapshot::parse(&format!("{HEADER}\n"))
+            .unwrap_err()
+            .contains("found 0"));
+    }
+
+    #[test]
+    fn trailing_content_is_rejected() {
+        let text = sample().to_text();
+        let err = Snapshot::parse(&format!("{text}garbage\n")).unwrap_err();
+        assert!(err.contains("trailing bytes"), "{err}");
+        // A second, well-formed frame is not a snapshot either.
+        let two = format!("{text}{}", journal_frame(2, "rounds: 1\n"));
+        assert!(Snapshot::parse(&two).unwrap_err().contains("found 2"));
     }
 
     #[test]
@@ -575,11 +591,12 @@ mod tests {
         bytes[idx] = if bytes[idx] == b'9' { b'8' } else { b'9' };
         let err = Snapshot::parse(std::str::from_utf8(&bytes).unwrap()).unwrap_err();
         assert!(err.contains("checksum mismatch"), "{err}");
-        // A forged checksum line is also rejected.
+        // A forged checksum in the frame header is also rejected.
         let mut forged = text.clone().into_bytes();
-        let c = text.find("checksum: ").unwrap() + "checksum: ".len();
+        let c = text.find("frame: ").unwrap() + "frame: ".len() + 17;
         forged[c] = if forged[c] == b'0' { b'1' } else { b'0' };
-        assert!(Snapshot::parse(std::str::from_utf8(&forged).unwrap()).is_err());
+        let err = Snapshot::parse(std::str::from_utf8(&forged).unwrap()).unwrap_err();
+        assert!(err.contains("checksum mismatch"), "{err}");
     }
 
     #[test]
@@ -587,28 +604,63 @@ mod tests {
         assert!(Snapshot::parse("seqver-snapshot v999\nend\n")
             .unwrap_err()
             .contains("version"));
-        // Old v1 snapshots (no checksum) are a version mismatch, not a
-        // parse crash.
+        // Older snapshots (v1: no checksum, v2: `checksum` line and `end`
+        // marker) are a version mismatch, not a parse crash.
         assert!(
             Snapshot::parse("seqver-snapshot v1\nprogram-hash: 0\nend\n")
                 .unwrap_err()
-                .contains("version")
+                .contains("unsupported snapshot version")
         );
-        assert!(Snapshot::parse("not a snapshot").is_err());
-        assert!(Snapshot::parse("").is_err());
-        // Missing hash (with a correct checksum over the empty-ish body).
-        let body = "end\n";
-        let text = format!(
-            "{HEADER}\nchecksum: {:016x}\n{body}",
+        let body = "program-hash: 0000000000000000\nend\n";
+        let v2 = format!(
+            "seqver-snapshot v2\nchecksum: {:016x}\n{body}",
             fnv1a(body.as_bytes())
         );
+        assert!(Snapshot::parse(&v2)
+            .unwrap_err()
+            .contains("unsupported snapshot version"));
+        assert!(Snapshot::parse("not a snapshot").is_err());
+        assert!(Snapshot::parse("").is_err());
+        // Missing hash (inside a well-formed frame).
+        let text = format!("{HEADER}\n{}", journal_frame(1, "rounds: 3\n"));
         assert!(Snapshot::parse(&text).unwrap_err().contains("program-hash"));
-        // Missing checksum line entirely.
-        assert!(
-            Snapshot::parse(&format!("{HEADER}\nprogram-hash: 0\nend\n"))
-                .unwrap_err()
-                .contains("checksum")
+        // Key/value lines without a frame around them.
+        assert!(Snapshot::parse(&format!("{HEADER}\nprogram-hash: 0\n"))
+            .unwrap_err()
+            .contains("not a frame header"));
+    }
+
+    #[test]
+    fn temp_path_never_aliases_the_target_or_a_sibling() {
+        let tmp = Path::new("dir/state.tmp");
+        assert_ne!(temp_path(tmp), tmp);
+        assert_eq!(temp_path(tmp), Path::new("dir/state.tmp.tmp"));
+        assert_ne!(
+            temp_path(Path::new("a.ckpt")),
+            temp_path(Path::new("a.store"))
         );
+    }
+
+    #[test]
+    fn overwriting_a_tmp_named_file_keeps_it_until_the_rename() {
+        let dir = std::env::temp_dir().join(format!("seqver-snap-tmpname-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.tmp");
+        write_atomic_durable(&path, "old\n").unwrap();
+        let mut seen = Vec::new();
+        write_atomic_durable_with(&path, "new\n", |stage| {
+            seen.push((stage, std::fs::read_to_string(&path).unwrap()));
+        })
+        .unwrap();
+        assert_eq!(
+            seen,
+            vec![
+                (WriteStage::TmpWritten, "old\n".to_owned()),
+                (WriteStage::PreRename, "old\n".to_owned()),
+                (WriteStage::PostRename, "new\n".to_owned()),
+            ]
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -630,10 +682,7 @@ mod tests {
         let path = dir.join("run.ckpt");
         snap.save_atomic(&path).unwrap();
         assert_eq!(Snapshot::load(&path).unwrap(), snap);
-        assert!(
-            !path.with_extension("tmp").exists(),
-            "tmp file renamed away"
-        );
+        assert!(!temp_path(&path).exists(), "tmp file renamed away");
         // Overwrite with a newer snapshot: load sees the newest.
         let mut newer = snap.clone();
         newer.rounds_completed += 1;

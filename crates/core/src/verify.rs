@@ -73,7 +73,9 @@ pub struct VerifierConfig {
     pub proof_sensitive: bool,
     /// Commutativity oracle level.
     pub commutativity: CommutativityLevel,
-    /// Which interpolation engine generates assertion chains.
+    /// Ignored: refinement always interpolates with the sp-chain engine.
+    /// The field exists only so that the `seqbench` harness, which reads
+    /// it, keeps compiling.
     pub interpolation: InterpolationMode,
     /// Maximum refinement rounds before giving up.
     pub max_rounds: usize,
@@ -176,14 +178,6 @@ impl VerifierConfig {
     pub fn without_proof_sensitivity(mut self) -> VerifierConfig {
         self.proof_sensitive = false;
         self.name = format!("{}-nops", self.name);
-        self
-    }
-
-    /// Switches to Farkas-certificate interpolation (single-inequality
-    /// assertions; falls back to sp-chains on non-conjunctive traces).
-    pub fn with_farkas_interpolation(mut self) -> VerifierConfig {
-        self.interpolation = InterpolationMode::Farkas;
-        self.name = format!("{}-farkas", self.name);
         self
     }
 
@@ -303,7 +297,6 @@ impl RunStats {
         self.certs_dropped += engine.certs_dropped;
         self.interpolation.feasibility_checks += engine.interpolation.feasibility_checks;
         self.interpolation.sliced_statements += engine.interpolation.sliced_statements;
-        self.interpolation.farkas_chains += engine.interpolation.farkas_chains;
     }
 
     /// Average time per refinement round (Table 2's metric).

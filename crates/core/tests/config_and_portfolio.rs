@@ -100,8 +100,6 @@ fn config_constructors_have_expected_flags() {
     let nops = VerifierConfig::gemcutter_seq().without_proof_sensitivity();
     assert!(!nops.proof_sensitive);
     assert!(nops.name.ends_with("-nops"));
-    let farkas = VerifierConfig::gemcutter_seq().with_farkas_interpolation();
-    assert!(farkas.name.ends_with("-farkas"));
 }
 
 #[test]

@@ -48,7 +48,7 @@ use crate::proto::{
     write_frame, Command, FrameError, FrameEvent, FrameReader, Request, Response, Status,
     WireVerdict, MAX_FRAME,
 };
-use crate::store::{PersistMode, ProofStore, SharedStore, StoreRecord, StoredVerdict};
+use crate::store::{ProofStore, SharedStore, StoreRecord, StoredVerdict};
 use gemcutter::certify::{check_certificate, CertifyMode};
 use gemcutter::drive::{drive, RetryPolicy, Run};
 use gemcutter::govern::{Category, FaultPlan};
@@ -91,10 +91,6 @@ pub struct ServeConfig {
     /// `abort()`s at named durability sites, for the crash sweep. The old
     /// `--crash-after N` maps to `post-fsync:N`.
     pub crash_plan: Arc<CrashPlan>,
-    /// `false` (`--no-journal`) reverts to the pre-journal behavior of
-    /// durably rewriting the whole snapshot per request — the ablation
-    /// baseline for the store-scaling bench.
-    pub journal: bool,
     /// Compact once the journal outgrows this multiple of the snapshot
     /// size.
     pub journal_max_ratio: f64,
@@ -125,7 +121,6 @@ impl Default for ServeConfig {
             idle_timeout: Duration::from_secs(30),
             retries: 0,
             crash_plan: Arc::default(),
-            journal: true,
             journal_max_ratio: 4.0,
             qcache_persist: 2048,
             certify: CertifyMode::default(),
@@ -304,13 +299,8 @@ impl Server {
     /// Opens (leniently) the proof store, pre-warms the shared query
     /// cache from its persisted entries, and binds the listener.
     pub fn bind(config: ServeConfig) -> Result<Server, String> {
-        let mode = if config.journal {
-            PersistMode::Journal
-        } else {
-            PersistMode::Rewrite
-        };
         let (store, store_warnings) = match &config.store_path {
-            Some(path) => ProofStore::open_with(path, mode, Arc::clone(&config.crash_plan)),
+            Some(path) => ProofStore::open_with(path, Arc::clone(&config.crash_plan)),
             None => (ProofStore::in_memory(), Vec::new()),
         };
         let cache = QueryCache::new();

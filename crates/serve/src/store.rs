@@ -20,7 +20,7 @@
 //! group-commit leader ([`SharedStore::commit`]): one write + one fsync
 //! covers every record staged while the previous fsync was in flight.
 //! Background **compaction** folds the journal back into the snapshot
-//! (atomic tmp + rename + dir fsync, exactly the old full-rewrite path)
+//! (atomic tmp + rename + dir fsync, [`write_atomic_durable_with`])
 //! once the journal outgrows a configurable ratio of the snapshot, then
 //! truncates the journal; crashing *anywhere* inside compaction is safe
 //! because replay skips frames at or below the snapshot's `seq:` mark.
@@ -52,7 +52,10 @@
 
 use crate::crash::{CrashPlan, CrashSite};
 use gemcutter::certify::Certificate;
-use gemcutter::snapshot::{fnv1a, journal_frame, replay_journal, write_atomic_durable};
+use gemcutter::snapshot::{
+    fnv1a, journal_frame, replay_journal, write_atomic_durable, write_atomic_durable_with,
+    WriteStage,
+};
 use smt::qcache::CachedVerdict;
 use smt::transfer::ExportedTerm;
 use std::collections::HashMap;
@@ -76,18 +79,6 @@ pub fn journal_path(store: &Path) -> PathBuf {
         .unwrap_or_else(|| "proofs.store".into());
     name.push(".wal");
     store.with_file_name(name)
-}
-
-/// How the store reaches disk.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PersistMode {
-    /// Append one checksummed frame per record, fsync on commit, compact
-    /// in the background. The default.
-    Journal,
-    /// The pre-journal behavior: rewrite the whole snapshot durably on
-    /// every append. Kept as `--no-journal` for ablation and as the
-    /// degraded fallback when the journal file cannot be opened.
-    Rewrite,
 }
 
 /// A definitive verdict worth persisting. `GaveUp` outcomes are
@@ -291,7 +282,9 @@ pub struct ProofStore {
     records: Vec<StoreRecord>,
     by_fingerprint: HashMap<u64, usize>,
     qcache_entries: Vec<(ExportedTerm, CachedVerdict)>,
-    mode: PersistMode,
+    /// `None` for in-memory stores, and for a backed store whose journal
+    /// could not be opened: that store rewrites its snapshot durably on
+    /// every append instead.
     journal: Option<Journal>,
     /// Sequence number the next appended frame will carry (1-based).
     next_seq: u64,
@@ -316,7 +309,6 @@ impl Default for ProofStore {
             records: Vec::new(),
             by_fingerprint: HashMap::new(),
             qcache_entries: Vec::new(),
-            mode: PersistMode::Journal,
             journal: None,
             next_seq: 1,
             folded_seq: 0,
@@ -336,10 +328,9 @@ impl ProofStore {
         ProofStore::default()
     }
 
-    /// Opens (or initializes) the store at `path` in the default
-    /// journaled mode with no crash plan.
+    /// Opens (or initializes) the store at `path` with no crash plan.
     pub fn open(path: &Path) -> (ProofStore, Vec<String>) {
-        ProofStore::open_with(path, PersistMode::Journal, Arc::default())
+        ProofStore::open_with(path, Arc::default())
     }
 
     /// Opens (or initializes) the store at `path`, leniently: the result
@@ -347,11 +338,7 @@ impl ProofStore {
     /// had to be dropped is described by a warning. Never panics, never
     /// errors. A torn journal tail is physically truncated so subsequent
     /// appends land on a clean prefix.
-    pub fn open_with(
-        path: &Path,
-        mode: PersistMode,
-        crash: Arc<CrashPlan>,
-    ) -> (ProofStore, Vec<String>) {
+    pub fn open_with(path: &Path, crash: Arc<CrashPlan>) -> (ProofStore, Vec<String>) {
         let mut snapshot_missing = false;
         let (mut store, mut warnings) = match std::fs::read_to_string(path) {
             Ok(text) => {
@@ -372,11 +359,8 @@ impl ProofStore {
             ),
         };
         store.path = Some(path.to_path_buf());
-        store.mode = mode;
         store.crash = crash;
 
-        // Replay the journal in BOTH modes: a `--no-journal` restart after
-        // a journaled run must not silently ignore durable frames.
         let jpath = journal_path(path);
         let jbytes = match std::fs::read(&jpath) {
             Ok(bytes) => bytes,
@@ -433,24 +417,19 @@ impl ProofStore {
             store.journal_bytes = replay.valid_len as u64;
         }
 
-        if store.mode == PersistMode::Journal {
-            match OpenOptions::new().create(true).append(true).open(&jpath) {
-                Ok(file) => {
-                    store.journal = Some(Journal {
-                        file,
-                        pending: Vec::new(),
-                        pending_seq: store.next_seq - 1,
-                    })
-                }
-                Err(e) => {
-                    warnings.push(format!(
-                        "cannot open journal `{}`: {e}; falling back to rewrite-per-flush \
-                         persistence",
-                        jpath.display()
-                    ));
-                    store.mode = PersistMode::Rewrite;
-                }
+        match OpenOptions::new().create(true).append(true).open(&jpath) {
+            Ok(file) => {
+                store.journal = Some(Journal {
+                    file,
+                    pending: Vec::new(),
+                    pending_seq: store.next_seq - 1,
+                })
             }
+            Err(e) => warnings.push(format!(
+                "cannot open journal `{}`: {e}; falling back to rewrite-per-append \
+                 persistence",
+                jpath.display()
+            )),
         }
 
         // A journaled store keeps the snapshot present from the start, so
@@ -575,33 +554,31 @@ impl ProofStore {
     }
 
     /// Appends one record: inserts it in memory and stages its journal
-    /// frame (journal mode) or rewrites the whole snapshot durably
-    /// (rewrite mode). Returns the record's sequence number; in journal
-    /// mode the record is **not durable** until [`SharedStore::commit`]
+    /// frame, or — when the journal could not be opened — rewrites the
+    /// whole snapshot durably. Returns the record's sequence number; a
+    /// staged record is **not durable** until [`SharedStore::commit`]
     /// reports that sequence number synced.
     pub fn append(&mut self, record: StoreRecord) -> Result<u64, String> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let frame_body = record.to_text();
         self.insert(record);
-        match (self.path.is_some(), self.mode, self.journal.is_some()) {
-            (false, _, _) => {
+        match (self.path.is_some(), self.journal.as_mut()) {
+            (false, _) => {
                 // In-memory: nothing can be more durable than it already is.
                 self.durable_seq = seq;
             }
-            (true, PersistMode::Journal, true) => {
+            (true, Some(journal)) => {
                 let frame = journal_frame(seq, &frame_body);
-                let crash = Arc::clone(&self.crash);
-                crash.hit(CrashSite::PreAppend);
-                let journal = self.journal.as_mut().expect("journal present");
+                self.crash.hit(CrashSite::PreAppend);
                 journal.pending.extend_from_slice(frame.as_bytes());
                 journal.pending_seq = seq;
-                crash.hit(CrashSite::PostAppend);
+                self.crash.hit(CrashSite::PostAppend);
                 self.stats.appends += 1;
             }
-            (true, _, _) => {
-                // Rewrite mode (or a degraded journal): the old
-                // O(store-size) durable rewrite, synchronous.
+            (true, None) => {
+                // Degraded journal: the O(store-size) durable rewrite,
+                // synchronous.
                 self.write_snapshot_plain()?;
             }
         }
@@ -620,7 +597,13 @@ impl ProofStore {
         }
         let target = self.next_seq - 1;
         let text = self.to_text();
-        self.write_snapshot_with_crash_sites(&path, &text)?;
+        write_atomic_durable_with(&path, &text, |stage| {
+            self.crash.hit(match stage {
+                WriteStage::TmpWritten => CrashSite::CompactTmp,
+                WriteStage::PreRename => CrashSite::PreRename,
+                WriteStage::PostRename => CrashSite::PostRename,
+            })
+        })?;
         // The snapshot now durably covers every sequence number through
         // `target`; all journal frames are stale. Truncation is cleanup,
         // not a correctness step — a crash before it only means stale
@@ -653,8 +636,8 @@ impl ProofStore {
     }
 
     /// Writes the store to its backing file durably; a no-op for
-    /// in-memory stores. In journal mode this compacts (fold + truncate),
-    /// in rewrite mode it rewrites the snapshot.
+    /// in-memory stores. With a journal this compacts (fold + truncate);
+    /// without one it rewrites the snapshot.
     pub fn flush(&mut self) -> Result<(), String> {
         if self.path.is_none() {
             return Ok(());
@@ -663,8 +646,8 @@ impl ProofStore {
     }
 
     /// The plain (un-instrumented) durable snapshot write: used at open
-    /// time and by rewrite mode, where crash-point injection would abort
-    /// before the daemon ever serves.
+    /// time, where crash-point injection would abort before the daemon
+    /// ever serves, and by a store whose journal could not be opened.
     fn write_snapshot_plain(&mut self) -> Result<(), String> {
         let Some(path) = self.path.clone() else {
             return Ok(());
@@ -674,38 +657,6 @@ impl ProofStore {
         self.snapshot_bytes = text.len() as u64;
         self.folded_seq = self.next_seq - 1;
         self.durable_seq = self.durable_seq.max(self.next_seq - 1);
-        Ok(())
-    }
-
-    /// `write_atomic_durable`, unrolled so every durability site can be
-    /// charged against the crash plan.
-    fn write_snapshot_with_crash_sites(&self, path: &Path, text: &str) -> Result<(), String> {
-        let mut tmp_name = path
-            .file_name()
-            .map(|n| n.to_os_string())
-            .unwrap_or_else(|| "store".into());
-        tmp_name.push(".tmp");
-        let tmp = path.with_file_name(tmp_name);
-        {
-            let mut file = File::create(&tmp)
-                .map_err(|e| format!("cannot create `{}`: {e}", tmp.display()))?;
-            file.write_all(text.as_bytes())
-                .map_err(|e| format!("cannot write `{}`: {e}", tmp.display()))?;
-            self.crash.hit(CrashSite::CompactTmp);
-            file.sync_all()
-                .map_err(|e| format!("cannot sync `{}`: {e}", tmp.display()))?;
-        }
-        self.crash.hit(CrashSite::PreRename);
-        std::fs::rename(&tmp, path)
-            .map_err(|e| format!("cannot rename over `{}`: {e}", path.display()))?;
-        self.crash.hit(CrashSite::PostRename);
-        // Directory fsync is best-effort, matching `write_atomic_durable`:
-        // some filesystems refuse to open directories for writing.
-        if let Some(dir) = path.parent() {
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
         Ok(())
     }
 
@@ -891,8 +842,8 @@ impl SharedStore {
 
     /// Blocks until sequence number `seq` is durable (journal fsynced or
     /// folded into a durable snapshot). Returns immediately for
-    /// in-memory and rewrite-mode stores, whose appends are already as
-    /// durable as they will get.
+    /// in-memory stores and stores without a journal, whose appends are
+    /// already as durable as they will get.
     pub fn commit(&self, seq: u64) -> Result<(), String> {
         let mut guard = self.lock();
         loop {
@@ -1282,33 +1233,27 @@ mod tests {
     }
 
     #[test]
-    fn rewrite_mode_is_durable_per_append() {
-        let dir = scratch("rewrite");
+    fn unopenable_journal_falls_back_to_durable_rewrites() {
+        let dir = scratch("fallback");
         let path = dir.join("proofs.store");
-        let (store, _) = ProofStore::open_with(&path, PersistMode::Rewrite, Arc::default());
+        // A directory where the journal belongs: it cannot be opened for
+        // appending, so the store degrades to rewriting its snapshot.
+        std::fs::create_dir(journal_path(&path)).unwrap();
+        let (store, warnings) = ProofStore::open(&path);
+        assert!(
+            warnings.iter().any(|w| w.contains("falling back")),
+            "{warnings:?}"
+        );
         let shared = SharedStore::new(store);
-        let seq = shared.lock().append(record(7, "p", 0)).unwrap();
-        shared.commit(seq).unwrap(); // no-op: already durable
-        drop(shared);
-        // No journal frames were written; the snapshot alone carries it.
-        let (reopened, warnings) = ProofStore::open(&path);
-        assert!(warnings.is_empty(), "{warnings:?}");
-        assert_eq!(reopened.len(), 1);
-        assert_eq!(reopened.stats().replayed_frames, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn leftover_journal_is_replayed_even_without_journal_mode() {
-        let dir = scratch("leftover");
-        let path = dir.join("proofs.store");
-        let (store, _) = ProofStore::open(&path);
-        let shared = SharedStore::new(store);
-        let seq = shared.lock().append(record(9, "p", 1)).unwrap();
-        shared.commit(seq).unwrap();
-        drop(shared);
-        let (reopened, _) = ProofStore::open_with(&path, PersistMode::Rewrite, Arc::default());
-        assert_eq!(reopened.len(), 1, "journaled frame visible to --no-journal");
+        for i in 0..3u64 {
+            let seq = shared.lock().append(record(i + 1, "p", i)).unwrap();
+            // On disk when `append` returns, before any commit.
+            let (reopened, _) = ProofStore::open(&path);
+            assert_eq!(reopened.len() as u64, i + 1);
+            assert_eq!(shared.lock().durable_seq(), seq);
+            shared.commit(seq).unwrap(); // no-op: already durable
+        }
+        assert!(!shared.needs_compaction(0.0), "no journal, nothing to fold");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -49,7 +49,6 @@
 
 pub mod cdcl;
 pub mod cube;
-pub mod interpolate;
 pub mod lia;
 pub mod linear;
 pub mod qcache;

@@ -83,11 +83,6 @@ impl Rat {
         self.num
     }
 
-    /// Denominator (reduced form, always positive).
-    pub fn denominator(self) -> i128 {
-        self.den
-    }
-
     /// `true` if the value is an integer.
     pub fn is_integer(self) -> bool {
         self.den == 1

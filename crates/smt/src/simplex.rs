@@ -82,90 +82,6 @@ pub fn check_rational_governed(
     }
 }
 
-/// A Farkas certificate of rational infeasibility: coefficients `λᵢ` such
-/// that `Σ λᵢ·exprᵢ` is a *positive constant* while every `exprᵢ ⋈ 0`
-/// requires it to be ≤ 0. Coefficients of `≤`-constraints are nonnegative;
-/// equality constraints may take either sign.
-///
-/// Certificates drive Farkas-style sequence interpolation
-/// ([`crate::interpolate`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FarkasCertificate {
-    /// `(constraint index, coefficient)` pairs, coefficient ≠ 0.
-    pub coefficients: Vec<(usize, Rat)>,
-}
-
-impl FarkasCertificate {
-    /// Checks the certificate against the constraints it was produced for:
-    /// the weighted sum must have no variables and a positive constant, and
-    /// `≤`-constraints must carry nonnegative weights.
-    pub fn validate(&self, constraints: &[LinearConstraint]) -> bool {
-        use crate::linear::LinExpr;
-        let mut sum = LinExpr::zero();
-        let mut scale = Rat::ONE;
-        // Common denominator so we can work in integers.
-        for &(_, c) in &self.coefficients {
-            scale = match scale.mul(Rat::from_int(c.denominator())) {
-                Ok(s) => s,
-                Err(_) => return false,
-            };
-        }
-        let Some(scale) = scale.to_integer() else {
-            return false;
-        };
-        for &(i, c) in &self.coefficients {
-            let Some(weight) = c.mul(Rat::from_int(scale)).ok().and_then(Rat::to_integer) else {
-                return false;
-            };
-            if constraints[i].rel() == Rel::Le0 && weight < 0 {
-                return false;
-            }
-            sum = sum.add(&constraints[i].expr().scale(weight));
-        }
-        sum.is_constant() && sum.constant_term() > 0
-    }
-}
-
-/// Result of [`check_rational_with_certificate`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CertResult {
-    /// Feasible over ℚ with a model.
-    Sat(HashMap<VarId, Rat>),
-    /// Infeasible, with a Farkas certificate.
-    Unsat(FarkasCertificate),
-    /// Arithmetic overflow.
-    Unknown,
-}
-
-/// As [`check_rational`], additionally returning a Farkas certificate on
-/// infeasibility.
-pub fn check_rational_with_certificate(constraints: &[LinearConstraint]) -> CertResult {
-    check_rational_with_certificate_governed(constraints, &ResourceGovernor::unlimited())
-}
-
-/// As [`check_rational_with_certificate`], charging `governor` per pivot.
-pub fn check_rational_with_certificate_governed(
-    constraints: &[LinearConstraint],
-    governor: &ResourceGovernor,
-) -> CertResult {
-    let outcome = Tableau::new(constraints)
-        .map_err(Halt::from)
-        .and_then(|mut t| {
-            t.check(governor)?;
-            if t.feasible {
-                Ok(CertResult::Sat(t.model()))
-            } else {
-                Ok(CertResult::Unsat(
-                    t.extract_certificate().ok_or(Halt::Overflow)?,
-                ))
-            }
-        });
-    match outcome {
-        Ok(r) => r,
-        Err(_) => CertResult::Unknown,
-    }
-}
-
 /// Internal solver variable: program variables first, then slacks.
 type SVar = usize;
 
@@ -189,9 +105,6 @@ struct Tableau {
     /// variables (entries of basic variables are kept at zero).
     rows: Vec<Vec<Rat>>,
     feasible: bool,
-    /// Set when `check` fails: the violating basic variable, whether its
-    /// upper bound was violated, and a snapshot of its row.
-    conflict: Option<(SVar, bool, Vec<Rat>)>,
 }
 
 impl Tableau {
@@ -246,7 +159,6 @@ impl Tableau {
             row_of,
             rows,
             feasible: true,
-            conflict: None,
         })
     }
 
@@ -332,7 +244,6 @@ impl Tableau {
             }
             let Some(j) = pivot_col else {
                 self.feasible = false;
-                self.conflict = Some((b, !increase, self.rows[r].clone()));
                 return Ok(());
             };
             self.pivot_and_update(r, b, j, target)?;
@@ -399,35 +310,6 @@ impl Tableau {
             }
         }
         Ok(())
-    }
-
-    /// Builds the Farkas certificate from the recorded conflict row.
-    ///
-    /// In a conflict row every nonzero nonbasic column is a slack variable
-    /// stuck at a bound (program variables are unbounded, hence always
-    /// pivotable), and each slack corresponds 1:1 to an input constraint.
-    fn extract_certificate(&self) -> Option<FarkasCertificate> {
-        let (basic, upper_violated, row) = self.conflict.as_ref()?;
-        let cons_idx = |v: SVar| v - self.n_program;
-        let mut coefficients: Vec<(usize, Rat)> = Vec::new();
-        let b_coeff = if *upper_violated {
-            Rat::ONE
-        } else {
-            Rat::ONE.neg().ok()?
-        };
-        coefficients.push((cons_idx(*basic), b_coeff));
-        for (j, &a) in row.iter().enumerate() {
-            if a.is_zero() || !self.is_nonbasic(j) || j == *basic {
-                continue;
-            }
-            debug_assert!(
-                j >= self.n_program,
-                "conflict row has a pivotable program-variable column"
-            );
-            let coeff = if *upper_violated { a.neg().ok()? } else { a };
-            coefficients.push((cons_idx(j), coeff));
-        }
-        Some(FarkasCertificate { coefficients })
     }
 
     fn model(&self) -> HashMap<VarId, Rat> {
@@ -1043,11 +925,6 @@ mod tests {
         assert_eq!(g.give_up().unwrap().category, Category::SimplexPivots);
         // Ungoverned, the same system is decided exactly.
         assert_eq!(check_rational(&cs), SimplexResult::Unsat);
-        // A tripped governor also downgrades certificate queries.
-        assert_eq!(
-            check_rational_with_certificate_governed(&cs, &g),
-            CertResult::Unknown
-        );
     }
 
     #[test]

@@ -59,8 +59,8 @@ const USAGE: &str = "usage:
   seqver reduce <file.cpl> [--order seq|lockstep|rand:<seed>] [--dot]
   seqver serve  [--addr HOST:PORT] [--store PATH] [--max-inflight N]
                 [--queue-depth N] [--request-timeout DUR] [--io-timeout DUR]
-                [--idle-timeout DUR] [--retries N] [--no-journal]
-                [--journal-max-ratio F] [--crash-at SITE:N] [--crash-after N]
+                [--idle-timeout DUR] [--retries N] [--journal-max-ratio F]
+                [--crash-at SITE:N] [--crash-after N]
                 [--certify off|structural|sample|full] [--cert-fault SITE:KIND:N]
   seqver submit <file.cpl>... --addr HOST:PORT [--timeout DUR] [--steps CAT=N]
                 [--retries N] [--faults SPEC] [--retry-busy N]
@@ -119,8 +119,6 @@ serve flags:
   --io-timeout DUR mid-frame stall timeout (slow-loris defense) and socket
                    write timeout (default 2s)
   --idle-timeout DUR  idle connection close (default 30s)
-  --no-journal     revert to durably rewriting the whole snapshot per
-                   request (ablation baseline; verdicts are identical)
   --journal-max-ratio F  compact once the journal outgrows F x the
                    snapshot size (default 4; 0 compacts after every batch)
   --crash-at SITE:N  test aid: abort() at the N-th arrival of a named
@@ -703,7 +701,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
                 let v = it.next().ok_or("--retries needs a value")?;
                 config.retries = v.parse().map_err(|_| "invalid --retries")?;
             }
-            "--no-journal" => config.journal = false,
             "--journal-max-ratio" => {
                 let v = it.next().ok_or("--journal-max-ratio needs a value")?;
                 config.journal_max_ratio = v

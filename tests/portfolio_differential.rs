@@ -224,7 +224,7 @@ proptest! {
 }
 
 /// The counters every schedule folds from its engines, minus wall time.
-fn engine_counters(stats: &RunStats) -> [(&'static str, u64); 14] {
+fn engine_counters(stats: &RunStats) -> [(&'static str, u64); 13] {
     [
         ("rounds", stats.rounds as u64),
         ("visited_states", stats.visited_states as u64),
@@ -240,10 +240,6 @@ fn engine_counters(stats: &RunStats) -> [(&'static str, u64); 14] {
         (
             "interpolation.sliced_statements",
             stats.interpolation.sliced_statements as u64,
-        ),
-        (
-            "interpolation.farkas_chains",
-            stats.interpolation.farkas_chains as u64,
         ),
         ("certs_dropped", stats.certs_dropped as u64),
         ("max_round_visited", stats.max_round_visited as u64),
