@@ -14,9 +14,9 @@
 //!    versus the default `--certify sample`; the sampled audit must cost
 //!    ≤ 10% on the warm path, with bit-identical verdicts. Each mode
 //!    serves the corpus for several rounds (the warm workload: the same
-//!    verdicts served repeatedly); off and sample passes interleave and
-//!    the fastest pass of each mode is scored, so a scheduler stall on
-//!    one pass cannot fail the gate.
+//!    verdicts served repeatedly); off and sample passes interleave in
+//!    pairs, and the median of the per-pair sample/off time ratios is
+//!    scored, so a scheduler stall in one pass cannot fail the gate.
 //!
 //! Results go to `BENCH_certify.json` for the jq gates in CI's `certify`
 //! job. Run: `cargo run --release -p bench --bin certify_bench`
@@ -116,6 +116,12 @@ fn run_pass(
     pass
 }
 
+/// The median of `xs` (the upper one of an even count).
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 fn main() {
     let quick = std::env::var("SEQVER_QUICK").is_ok();
     let benchmarks = corpus();
@@ -200,7 +206,11 @@ fn main() {
     // the corpus warm with the audit off and with the default sample
     // tier. The sampled audit must stay within 10% of the uncosted path
     // and must not change a single verdict.
-    const WARM_ROUNDS: usize = 16;
+    //
+    // A pass serves the quick corpus WARM_ROUNDS times and takes about a
+    // second on a shared 2-core VM, long enough that a scheduler stall is
+    // a small share of it.
+    const WARM_ROUNDS: usize = 192;
     const WARM_PASSES: usize = 5;
     let programs: Vec<(String, String)> =
         benchmarks.into_iter().map(|b| (b.name, b.source)).collect();
@@ -215,41 +225,6 @@ fn main() {
         fmt_time(cold.time_s),
         cold.store_hits
     );
-    // Interleaved passes: off and sample alternate, so slow drift in the
-    // machine's load lands on both modes alike; the fastest pass of each
-    // mode is scored.
-    let mut warm_off: Option<Pass> = None;
-    let mut warm_sample: Option<Pass> = None;
-    for _ in 0..WARM_PASSES {
-        let off = run_pass(&store, &programs, CertifyMode::Off, WARM_ROUNDS);
-        if warm_off.as_ref().is_none_or(|b| off.time_s < b.time_s) {
-            warm_off = Some(off);
-        }
-        let sample = run_pass(&store, &programs, CertifyMode::Sample, WARM_ROUNDS);
-        if warm_sample
-            .as_ref()
-            .is_none_or(|b| sample.time_s < b.time_s)
-        {
-            warm_sample = Some(sample);
-        }
-    }
-    let warm_off = warm_off.expect("warm off pass");
-    let warm_sample = warm_sample.expect("warm sample pass");
-    println!(
-        "  warm off:    {}  ({} rounds × {} passes, store-hits {})",
-        fmt_time(warm_off.time_s),
-        WARM_ROUNDS,
-        WARM_PASSES,
-        warm_off.store_hits
-    );
-    println!(
-        "  warm sample: {}  (store-hits {}, certs-checked {}, quarantined {})",
-        fmt_time(warm_sample.time_s),
-        warm_sample.store_hits,
-        warm_sample.certs_checked,
-        warm_sample.certs_quarantined
-    );
-
     let warm_reference: Vec<String> = cold
         .verdicts
         .iter()
@@ -257,17 +232,39 @@ fn main() {
         .cycle()
         .take(cold.verdicts.len() * WARM_ROUNDS)
         .collect();
-    let identity = warm_off.verdicts == warm_reference && warm_sample.verdicts == warm_reference;
+    // Interleaved pairs: an off pass, then a sample pass, so slow drift in
+    // the machine's load lands on both modes alike. Each pair gives one
+    // sample/off ratio and the median ratio is scored.
+    let mut identity = true;
+    let mut sample_quarantined = 0;
+    let mut off_times = Vec::new();
+    let mut sample_times = Vec::new();
+    let mut ratios = Vec::new();
+    for pair in 0..WARM_PASSES {
+        let off = run_pass(&store, &programs, CertifyMode::Off, WARM_ROUNDS);
+        let sample = run_pass(&store, &programs, CertifyMode::Sample, WARM_ROUNDS);
+        println!(
+            "  warm pair {pair}: off {}  sample {}  (store-hits {}/{}, certs-checked {})",
+            fmt_time(off.time_s),
+            fmt_time(sample.time_s),
+            off.store_hits,
+            sample.store_hits,
+            sample.certs_checked
+        );
+        identity &= off.verdicts == warm_reference && sample.verdicts == warm_reference;
+        sample_quarantined += sample.certs_quarantined;
+        ratios.push(sample.time_s / off.time_s);
+        off_times.push(off.time_s);
+        sample_times.push(sample.time_s);
+    }
     assert!(identity, "a warm pass changed a verdict");
     assert_eq!(
-        warm_sample.certs_quarantined, 0,
+        sample_quarantined, 0,
         "a genuine certificate was quarantined"
     );
-    let sample_overhead = if warm_off.time_s > 0.0 {
-        warm_sample.time_s / warm_off.time_s - 1.0
-    } else {
-        f64::NAN
-    };
+    let warm_off_time_s = median(&mut off_times);
+    let warm_sample_time_s = median(&mut sample_times);
+    let sample_overhead = median(&mut ratios) - 1.0;
     println!(
         "  identity: {identity}   clean pass rate {clean_pass_rate:.4}   \
          catch rate {mutation_catch_rate:.4}   sample overhead {:+.1}%",
@@ -291,14 +288,12 @@ fn main() {
         "  \"mutation_catch_rate\": {mutation_catch_rate:.4},\n"
     ));
     json.push_str(&format!("  \"identity\": {identity},\n"));
-    json.push_str(&format!("  \"warm_off_time_s\": {:.6},\n", warm_off.time_s));
+    json.push_str(&format!("  \"warm_off_time_s\": {warm_off_time_s:.6},\n"));
     json.push_str(&format!(
-        "  \"warm_sample_time_s\": {:.6},\n",
-        warm_sample.time_s
+        "  \"warm_sample_time_s\": {warm_sample_time_s:.6},\n"
     ));
     json.push_str(&format!(
-        "  \"sample_quarantined\": {},\n",
-        warm_sample.certs_quarantined
+        "  \"sample_quarantined\": {sample_quarantined},\n"
     ));
     json.push_str(&format!("  \"sample_overhead\": {sample_overhead:.4}\n"));
     json.push_str("}\n");

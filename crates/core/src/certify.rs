@@ -2,10 +2,12 @@
 //! independent checker.
 //!
 //! Every CORRECT verdict carries the annotation-level image of the
-//! covered reduction recorded by [`crate::check::record_reduction`] — the
-//! Floyd/Hoare annotation as [`ExportedTerm`]s, the annotation transition
-//! table, and every solver fact the traversal relied on (bottoms, post
-//! entailments, commutativity claims). Every BUG verdict carries the
+//! covered reduction: the Floyd/Hoare annotation as [`ExportedTerm`]s,
+//! the annotation transition table, and every solver fact the traversal
+//! relied on (bottoms, post entailments, commutativity claims). It is
+//! recorded by [`crate::check::record_reduction`], which runs the proof
+//! check's own DFS once more after the conclusive round, in recording
+//! mode and with no useless-state cache. Every BUG verdict carries the
 //! counterexample trace. [`check_certificate`] re-validates either kind
 //! with a deliberately small trusted base, independent of the engine that
 //! produced the verdict:

@@ -14,6 +14,11 @@
 //!   cross-round **useless-state cache**; later rounds skip any state with
 //!   the same `(q, S, ctx)` and a superset of assertions (sound by
 //!   monotonicity of proof-sensitive commutativity, §7.2).
+//!
+//! The same DFS has a recording mode, [`record_reduction`]: after a
+//! proven round it walks the reduction again with no useless-state cache
+//! and writes down every fact the traversal relied on, for the round's
+//! certificate ([`crate::certify`]).
 
 use crate::govern::{Category, GiveUp};
 use crate::proof::{ProofAutomaton, ProofStateId};
@@ -23,7 +28,7 @@ use program::concurrent::{LetterId, ProductState, Program, Spec};
 use reduction::order::{OrderContext, PreferenceOrder};
 use reduction::persistent::{MembraneMode, PersistentSets};
 use smt::term::{TermId, TermPool};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Result of one proof-check round.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -63,20 +68,23 @@ pub struct CheckConfig {
     pub use_persistent: bool,
     /// Use `⋀Φ` as the commutativity condition in sleep-set computation.
     pub proof_sensitive: bool,
-    /// The per-round state budget: the proof-check DFS aborts after
-    /// visiting this many states, and the certificate recording re-walk
-    /// aborts after [`RECORD_VISITED_HEADROOM`]× as many (it takes no
-    /// useless-cache skips, so it can legitimately need more states than
-    /// the check did). Both walks also charge `Category::DfsStates` per
-    /// state, so the governor's run-wide budget is the ultimate
-    /// authority; this field is the per-round cap.
+    /// The per-round state budget of the one DFS. In check mode
+    /// ([`check_proof`]) it aborts with [`CheckResult::LimitReached`]
+    /// after visiting this many states; in recording mode
+    /// ([`record_reduction`]) it drops the certificate after
+    /// [`RECORD_VISITED_HEADROOM`]× as many, since recording takes no
+    /// useless-cache skips and can legitimately need more states than the
+    /// check did. Both modes also charge `Category::DfsStates` per state,
+    /// so the governor's run-wide budget is the ultimate authority; this
+    /// field is the per-round cap.
     pub max_visited: usize,
     /// Ignored: the proof check is always the sequential Algorithm 2 DFS.
     /// The field exists only so that existing `CheckConfig` struct
     /// literals keep compiling.
     pub dfs_threads: usize,
-    /// Probe the useless-state cache but record no new entries, so the
-    /// round leaves the cache as it found it.
+    /// Ignored: check mode always probes and marks the useless-state
+    /// cache, and recording mode uses none. The field exists only so that
+    /// existing `CheckConfig` struct literals keep compiling.
     pub freeze_useless: bool,
 }
 
@@ -208,7 +216,8 @@ struct Frame {
 
 type Key = (ProductState, ProofStateId, BitSet, OrderContext);
 
-/// Runs one proof-check round (Algorithm 2).
+/// Runs one proof-check round (Algorithm 2): the DFS in check mode, which
+/// probes `useless` before entering a state and marks every clean subtree.
 #[allow(clippy::too_many_arguments)]
 pub fn check_proof(
     pool: &mut TermPool,
@@ -222,188 +231,19 @@ pub fn check_proof(
     config: &CheckConfig,
     stats: &mut CheckStats,
 ) -> CheckResult {
-    let governor = pool.governor().clone();
-    let membrane_mode = match spec {
-        Spec::PrePost => MembraneMode::Terminal,
-        Spec::ErrorOf(t) => MembraneMode::ErrorThread(t),
-    };
-    let n_letters = program.num_letters();
-    let init_formula = pool.and([program.init_formula(), program.pre()]);
-    let phi0 = proof.initial_state(pool, init_formula);
-
-    let mut visited: HashMap<Key, VisitStatus> = HashMap::new();
-    let mut stack: Vec<Frame> = Vec::new();
-
-    // Returns Some(frame) if the state should be expanded, None if it is
-    // covered/pruned; Err(trace) when it is an uncovered accepting state.
-    macro_rules! enter {
-        ($q:expr, $phi:expr, $sleep:expr, $ctx:expr, $via:expr, $trace_prefix:expr) => {{
-            let q: ProductState = $q;
-            let phi: ProofStateId = $phi;
-            let sleep: BitSet = $sleep;
-            let ctx: OrderContext = $ctx;
-            stats.visited += 1;
-            // Covered: the prefix is already proven infeasible.
-            if proof.is_bottom(pool, phi) {
-                visited.insert((q, phi, sleep, ctx), VisitStatus::DoneClean);
-                None
-            } else if program.is_accepting(&q, spec) {
-                let violated = match spec {
-                    Spec::ErrorOf(_) => true, // reachable error, not refuted
-                    Spec::PrePost => !proof.implies_post(pool, phi, program.post()),
-                };
-                if violated {
-                    let mut trace: Vec<LetterId> = $trace_prefix;
-                    if let Some(l) = $via {
-                        trace.push(l);
-                    }
-                    return CheckResult::Counterexample(trace);
-                }
-                visited.insert((q, phi, sleep, ctx), VisitStatus::DoneClean);
-                None
-            } else {
-                let enabled = program.enabled(&q);
-                let mut explore: Vec<LetterId> = match persistent {
-                    Some(ps) => ps.compute(program, &q, order, ctx, membrane_mode),
-                    None => enabled.clone(),
-                };
-                if config.use_sleep {
-                    explore.retain(|l| !sleep.contains(l.index()));
-                }
-                // Deterministic DFS order: most preferred letter first.
-                explore.sort_by_key(|&l| order.rank(ctx, l, program));
-                visited.insert((q.clone(), phi, sleep.clone(), ctx), VisitStatus::OnStack);
-                Some(Frame {
-                    q,
-                    phi,
-                    sleep,
-                    ctx,
-                    via: $via,
-                    explore,
-                    enabled,
-                    next: 0,
-                    tainted: false,
-                })
-            }
-        }};
-    }
-
-    let q0 = program.initial_state();
-    let sleep0 = BitSet::new(n_letters);
-    stats.useless_probes += 1;
-    if useless.is_useless(&q0, &sleep0, 0, proof.assertion_set(phi0)) {
-        stats.cache_skips += 1;
-        return CheckResult::Proven;
-    }
-    match enter!(q0, phi0, sleep0, 0, None, Vec::new()) {
-        Some(f) => stack.push(f),
-        None => return CheckResult::Proven,
-    }
-
-    while let Some(frame) = stack.last_mut() {
-        if stats.visited > config.max_visited {
-            return CheckResult::LimitReached;
-        }
-        // One DFS state per iteration; the charge also observes the
-        // deadline, cancellation flag and any injected fault, so a round
-        // aborts mid-DFS rather than between rounds.
-        if let Err(give_up) = governor.charge(Category::DfsStates) {
-            return CheckResult::Interrupted(give_up);
-        }
-        if frame.next >= frame.explore.len() {
-            // Subtree done: pop, record, propagate taint.
-            let frame = stack.pop().expect("frame exists");
-            let key: Key = (frame.q.clone(), frame.phi, frame.sleep.clone(), frame.ctx);
-            let status = if frame.tainted {
-                VisitStatus::DoneTainted
-            } else {
-                if !config.freeze_useless {
-                    useless.mark(
-                        frame.q.clone(),
-                        frame.sleep.clone(),
-                        frame.ctx,
-                        proof.assertion_set(frame.phi).to_vec(),
-                    );
-                }
-                VisitStatus::DoneClean
-            };
-            visited.insert(key, status);
-            if frame.tainted {
-                if let Some(parent) = stack.last_mut() {
-                    parent.tainted = true;
-                }
-            }
-            continue;
-        }
-        let a = frame.explore[frame.next];
-        frame.next += 1;
-
-        // Successor components.
-        let q = frame.q.clone();
-        let phi = frame.phi;
-        let sleep = frame.sleep.clone();
-        let ctx = frame.ctx;
-        let enabled = frame.enabled.clone();
-
-        let next_q = program.step(&q, a).expect("explored letter is enabled");
-        let next_phi = proof.step(pool, program, phi, a);
-        let next_ctx = order.step(ctx, a, program);
-        let next_sleep = if config.use_sleep {
-            let condition: TermId = if config.proof_sensitive {
-                proof.conjunction(phi)
-            } else {
-                TermPool::TRUE
-            };
-            let mut s = BitSet::new(n_letters);
-            for &b in &enabled {
-                let earlier = sleep.contains(b.index()) || order.less(ctx, b, a, program);
-                if earlier && oracle.commute_under(pool, program, condition, a, b) {
-                    s.insert(b.index());
-                }
-            }
-            s
-        } else {
-            BitSet::new(n_letters)
-        };
-
-        let key: Key = (next_q.clone(), next_phi, next_sleep.clone(), next_ctx);
-        match visited.get(&key) {
-            Some(VisitStatus::OnStack) => {
-                stack.last_mut().expect("parent").tainted = true;
-                continue;
-            }
-            Some(VisitStatus::DoneTainted) => {
-                stack.last_mut().expect("parent").tainted = true;
-                continue;
-            }
-            Some(VisitStatus::DoneClean) => continue,
-            None => {}
-        }
-        // Cross-round cache.
-        stats.useless_probes += 1;
-        if useless.is_useless(
-            &next_q,
-            &next_sleep,
-            next_ctx,
-            proof.assertion_set(next_phi),
-        ) {
-            stats.cache_skips += 1;
-            visited.insert(key, VisitStatus::DoneClean);
-            continue;
-        }
-        let trace_prefix: Vec<LetterId> = stack.iter().filter_map(|f| f.via).collect();
-        if let Some(f) = enter!(
-            next_q,
-            next_phi,
-            next_sleep,
-            next_ctx,
-            Some(a),
-            trace_prefix
-        ) {
-            stack.push(f)
-        }
-    }
-    CheckResult::Proven
+    walk(
+        pool,
+        program,
+        spec,
+        order,
+        oracle,
+        persistent,
+        proof,
+        Some(useless),
+        None,
+        config,
+        stats,
+    )
 }
 
 /// The annotation-level image of one fully covered reduction, captured by
@@ -432,23 +272,23 @@ pub struct RecordedReduction {
     pub ucommute: Vec<(LetterId, LetterId)>,
 }
 
-/// State-budget headroom for the certificate recording re-walk, as a
-/// multiple of [`CheckConfig::max_visited`]. The re-walk takes no
-/// useless-cache skips, so it re-expands subtrees the check skipped; a
-/// proven round whose check fit `max_visited` only thanks to those skips
-/// still deserves a certificate. The governor's run-wide
-/// `Category::DfsStates` budget — charged per recorded state too — is
-/// the ultimate authority, so this cap only bounds a single re-walk.
+/// State-budget headroom of the recording walk, as a multiple of
+/// [`CheckConfig::max_visited`]. Recording takes no useless-cache skips,
+/// so it expands subtrees the check skipped; a proven round whose check
+/// fit `max_visited` only thanks to those skips still deserves a
+/// certificate. The governor's run-wide `Category::DfsStates` budget —
+/// charged per recorded state too — is the ultimate authority, so this
+/// cap only bounds a single recording walk.
 pub const RECORD_VISITED_HEADROOM: usize = 4;
 
-/// Re-walks the reduction after a round returned [`CheckResult::Proven`]
-/// and records its annotation-level structure.
-///
-/// Unlike [`check_proof`] this walk takes **no** useless-cache skips, so
-/// the recorded table covers subtrees earlier rounds had already
-/// discharged — the certificate must stand on its own. Every solver query
-/// hits the proof automaton's and oracle's memo tables, so the pass is
-/// roughly one cold round of pure graph traversal.
+/// Records the annotation-level structure of the reduction after a round
+/// returned [`CheckResult::Proven`], by running [`check_proof`]'s walk in
+/// recording mode: with no useless-state cache, so the recorded table
+/// covers subtrees earlier rounds had already discharged — the
+/// certificate must stand on its own — and under
+/// [`RECORD_VISITED_HEADROOM`]× the state budget. Every solver query hits
+/// the proof automaton's and oracle's memo tables, so the pass is roughly
+/// one cold round of pure graph traversal.
 ///
 /// Returns `None` when the walk cannot be completed faithfully: the state
 /// budget or resource governor trips mid-walk, or (defensively) an
@@ -465,8 +305,67 @@ pub fn record_reduction(
     proof: &mut ProofAutomaton,
     config: &CheckConfig,
 ) -> Option<RecordedReduction> {
-    use std::collections::BTreeSet;
+    let config = CheckConfig {
+        max_visited: config.max_visited.saturating_mul(RECORD_VISITED_HEADROOM),
+        ..config.clone()
+    };
+    let mut rec = Recorder::default();
+    let mut stats = CheckStats::default();
+    let result = walk(
+        pool,
+        program,
+        spec,
+        order,
+        oracle,
+        persistent,
+        proof,
+        None,
+        Some(&mut rec),
+        &config,
+        &mut stats,
+    );
+    // The walk tests its cap only while a state is left to expand, so a
+    // covered initial state alone can still exceed a zero cap.
+    (result == CheckResult::Proven && stats.visited <= config.max_visited).then(|| {
+        RecordedReduction {
+            initial: rec.initial.expect("the walk records its initial state"),
+            edges: rec.edges.into_iter().collect(),
+            bottoms: rec.bottoms.into_iter().collect(),
+            safes: rec.safes.into_iter().collect(),
+            claims: rec.claims.into_iter().collect(),
+            ucommute: rec.ucommute.into_iter().collect(),
+        }
+    })
+}
 
+/// The facts a recording walk relied on, sorted and deduplicated.
+#[derive(Default)]
+struct Recorder {
+    initial: Option<ProofStateId>,
+    edges: BTreeSet<(ProofStateId, LetterId, ProofStateId)>,
+    bottoms: BTreeSet<ProofStateId>,
+    safes: BTreeSet<ProofStateId>,
+    claims: BTreeSet<(LetterId, LetterId, ProofStateId)>,
+    ucommute: BTreeSet<(LetterId, LetterId)>,
+}
+
+/// The DFS of Algorithm 2 — the only one in this module. `useless` is the
+/// check mode's cross-round cache, `rec` the recording mode's fact table;
+/// [`check_proof`] passes the first, [`record_reduction`] the second.
+#[allow(clippy::too_many_arguments)]
+fn walk(
+    pool: &mut TermPool,
+    program: &Program,
+    spec: Spec,
+    order: &dyn PreferenceOrder,
+    oracle: &mut CommutativityOracle,
+    persistent: Option<&PersistentSets>,
+    proof: &mut ProofAutomaton,
+    mut useless: Option<&mut UselessCache>,
+    mut rec: Option<&mut Recorder>,
+    config: &CheckConfig,
+    stats: &mut CheckStats,
+) -> CheckResult {
     let governor = pool.governor().clone();
     let membrane_mode = match spec {
         Spec::PrePost => MembraneMode::Terminal,
@@ -476,75 +375,71 @@ pub fn record_reduction(
     let init_formula = pool.and([program.init_formula(), program.pre()]);
     let phi0 = proof.initial_state(pool, init_formula);
 
-    let mut edges: BTreeSet<(u32, u32, u32)> = BTreeSet::new();
-    let mut bottoms: BTreeSet<u32> = BTreeSet::new();
-    let mut safes: BTreeSet<u32> = BTreeSet::new();
-    let mut claims: BTreeSet<(u32, u32, u32)> = BTreeSet::new();
-    let mut ucommute: BTreeSet<(u32, u32)> = BTreeSet::new();
-
-    // Membranes consume the whole unconditional commutativity relation, so
-    // the certificate must carry it whenever membranes (or condition-free
-    // sleep sets) are in play. The oracle has every pair cached from
-    // `PersistentSets::new`, so this is a table scan, not a solver sweep.
-    if persistent.is_some() || (config.use_sleep && !config.proof_sensitive) {
-        for a in program.letters() {
-            for b in program.letters() {
-                if a.index() < b.index()
-                    && program.thread_of(a) != program.thread_of(b)
-                    && oracle.commute(pool, program, a, b)
-                {
-                    ucommute.insert((a.index() as u32, b.index() as u32));
+    if let Some(r) = rec.as_deref_mut() {
+        r.initial = Some(phi0);
+        // Membranes consume the whole unconditional commutativity
+        // relation, so the certificate must carry it whenever membranes
+        // (or condition-free sleep sets) are in play. The oracle has every
+        // pair cached from `PersistentSets::new`, so this is a table scan,
+        // not a solver sweep.
+        if persistent.is_some() || (config.use_sleep && !config.proof_sensitive) {
+            for a in program.letters() {
+                for b in program.letters() {
+                    if a < b
+                        && program.thread_of(a) != program.thread_of(b)
+                        && oracle.commute(pool, program, a, b)
+                    {
+                        r.ucommute.insert((a, b));
+                    }
                 }
             }
         }
     }
 
-    struct RecFrame {
-        q: ProductState,
-        phi: ProofStateId,
-        sleep: BitSet,
-        ctx: OrderContext,
-        explore: Vec<LetterId>,
-        enabled: Vec<LetterId>,
-        next: usize,
-    }
+    let mut visited: BTreeMap<Key, VisitStatus> = BTreeMap::new();
+    let mut stack: Vec<Frame> = Vec::new();
 
-    let mut visited: BTreeSet<Key> = BTreeSet::new();
-    let mut stack: Vec<RecFrame> = Vec::new();
-    let mut seen = 0usize;
-
-    // Mirrors `enter!`: classify a state, record the fact that justified
-    // its treatment, and return a frame when it must be expanded.
-    macro_rules! rec_enter {
-        ($q:expr, $phi:expr, $sleep:expr, $ctx:expr) => {{
-            let q: ProductState = $q;
-            let phi: ProofStateId = $phi;
-            let sleep: BitSet = $sleep;
-            let ctx: OrderContext = $ctx;
-            seen += 1;
-            // The recording walk takes no useless-cache skips, so it can
-            // legitimately visit more states than the check did — a check
-            // that fit `max_visited` only thanks to cache skips must not
-            // lose its certificate here. The headroom factor covers that;
-            // the `Category::DfsStates` governor charge below still owns
-            // the run-wide budget. If the cap trips anyway the certificate
-            // is dropped (surfaced as `certs_dropped`), never truncated.
-            if seen > config.max_visited.saturating_mul(RECORD_VISITED_HEADROOM) {
-                return None;
-            }
-            if proof.is_bottom(pool, phi) {
-                bottoms.insert(phi.0);
-                None
-            } else if program.is_accepting(&q, spec) {
-                match spec {
-                    Spec::ErrorOf(_) => return None, // uncovered accepting state
-                    Spec::PrePost => {
-                        if !proof.implies_post(pool, phi, program.post()) {
-                            return None;
-                        }
-                        safes.insert(phi.0);
+    // Enters a new state: returns its frame when it must be expanded and
+    // None when the cross-round cache skips it or it is covered; returns
+    // from the walk with the trace when it is an uncovered accepting state.
+    macro_rules! enter {
+        ($key:expr, $via:expr) => {{
+            let (q, phi, sleep, ctx): Key = $key;
+            let via: Option<LetterId> = $via;
+            let skip = useless.as_deref().is_some_and(|cache| {
+                stats.useless_probes += 1;
+                cache.is_useless(&q, &sleep, ctx, proof.assertion_set(phi))
+            });
+            let done = if skip {
+                stats.cache_skips += 1;
+                true
+            } else {
+                stats.visited += 1;
+                if proof.is_bottom(pool, phi) {
+                    // Covered: the prefix is already proven infeasible.
+                    if let Some(r) = rec.as_deref_mut() {
+                        r.bottoms.insert(phi);
                     }
+                    true
+                } else if program.is_accepting(&q, spec) {
+                    let violated = match spec {
+                        Spec::ErrorOf(_) => true, // reachable error, not refuted
+                        Spec::PrePost => !proof.implies_post(pool, phi, program.post()),
+                    };
+                    if violated {
+                        let trace = stack.iter().filter_map(|f| f.via).chain(via).collect();
+                        return CheckResult::Counterexample(trace);
+                    }
+                    if let Some(r) = rec.as_deref_mut() {
+                        r.safes.insert(phi);
+                    }
+                    true
+                } else {
+                    false
                 }
+            };
+            if done {
+                visited.insert((q, phi, sleep, ctx), VisitStatus::DoneClean);
                 None
             } else {
                 let enabled = program.enabled(&q);
@@ -555,103 +450,108 @@ pub fn record_reduction(
                 if config.use_sleep {
                     explore.retain(|l| !sleep.contains(l.index()));
                 }
+                // Deterministic DFS order: most preferred letter first.
                 explore.sort_by_key(|&l| order.rank(ctx, l, program));
-                Some(RecFrame {
+                visited.insert((q.clone(), phi, sleep.clone(), ctx), VisitStatus::OnStack);
+                Some(Frame {
                     q,
                     phi,
                     sleep,
                     ctx,
+                    via,
                     explore,
                     enabled,
                     next: 0,
+                    tainted: false,
                 })
             }
         }};
     }
 
-    let q0 = program.initial_state();
-    let sleep0 = BitSet::new(n_letters);
-    visited.insert((q0.clone(), phi0, sleep0.clone(), 0));
-    if let Some(f) = rec_enter!(q0, phi0, sleep0, 0) {
-        stack.push(f);
+    let root: Key = (program.initial_state(), phi0, BitSet::new(n_letters), 0);
+    match enter!(root, None) {
+        Some(f) => stack.push(f),
+        None => return CheckResult::Proven,
     }
 
     while let Some(frame) = stack.last_mut() {
-        if governor.charge(Category::DfsStates).is_err() {
-            return None;
+        if stats.visited > config.max_visited {
+            return CheckResult::LimitReached;
+        }
+        // One DFS state per iteration; the charge also observes the
+        // deadline, cancellation flag and any injected fault, so a round
+        // aborts mid-DFS rather than between rounds.
+        if let Err(give_up) = governor.charge(Category::DfsStates) {
+            return CheckResult::Interrupted(give_up);
         }
         if frame.next >= frame.explore.len() {
-            stack.pop();
+            // Subtree done: pop, record, propagate taint.
+            let frame = stack.pop().expect("frame exists");
+            let status = if frame.tainted {
+                if let Some(parent) = stack.last_mut() {
+                    parent.tainted = true;
+                }
+                VisitStatus::DoneTainted
+            } else {
+                if let Some(cache) = useless.as_deref_mut() {
+                    cache.mark(
+                        frame.q.clone(),
+                        frame.sleep.clone(),
+                        frame.ctx,
+                        proof.assertion_set(frame.phi).to_vec(),
+                    );
+                }
+                VisitStatus::DoneClean
+            };
+            visited.insert((frame.q, frame.phi, frame.sleep, frame.ctx), status);
             continue;
         }
         let a = frame.explore[frame.next];
         frame.next += 1;
 
-        let q = frame.q.clone();
-        let phi = frame.phi;
-        let sleep = frame.sleep.clone();
-        let ctx = frame.ctx;
-        let enabled = frame.enabled.clone();
-
-        let next_q = program.step(&q, a).expect("explored letter is enabled");
+        let (phi, ctx) = (frame.phi, frame.ctx);
+        let next_q = program
+            .step(&frame.q, a)
+            .expect("explored letter is enabled");
         let next_phi = proof.step(pool, program, phi, a);
         let next_ctx = order.step(ctx, a, program);
-        edges.insert((phi.0, a.index() as u32, next_phi.0));
-        let next_sleep = if config.use_sleep {
+        if let Some(r) = rec.as_deref_mut() {
+            r.edges.insert((phi, a, next_phi));
+        }
+        let mut next_sleep = BitSet::new(n_letters);
+        if config.use_sleep {
             let condition: TermId = if config.proof_sensitive {
                 proof.conjunction(phi)
             } else {
                 TermPool::TRUE
             };
-            let mut s = BitSet::new(n_letters);
-            for &b in &enabled {
-                let earlier = sleep.contains(b.index()) || order.less(ctx, b, a, program);
+            for &b in &frame.enabled {
+                let earlier = frame.sleep.contains(b.index()) || order.less(ctx, b, a, program);
                 if earlier && oracle.commute_under(pool, program, condition, a, b) {
-                    s.insert(b.index());
-                    if config.proof_sensitive {
-                        claims.insert((a.index() as u32, b.index() as u32, phi.0));
-                    } else {
-                        let (lo, hi) = if a.index() < b.index() {
-                            (a, b)
+                    next_sleep.insert(b.index());
+                    if let Some(r) = rec.as_deref_mut() {
+                        if config.proof_sensitive {
+                            r.claims.insert((a, b, phi));
                         } else {
-                            (b, a)
-                        };
-                        ucommute.insert((lo.index() as u32, hi.index() as u32));
+                            r.ucommute.insert((a.min(b), a.max(b)));
+                        }
                     }
                 }
             }
-            s
-        } else {
-            BitSet::new(n_letters)
-        };
+        }
 
-        let key: Key = (next_q.clone(), next_phi, next_sleep.clone(), next_ctx);
-        if !visited.insert(key) {
+        let key: Key = (next_q, next_phi, next_sleep, next_ctx);
+        if let Some(&status) = visited.get(&key) {
+            // An edge into the stack, directly or through a tainted
+            // state, taints the parent.
+            frame.tainted |= status != VisitStatus::DoneClean;
             continue;
         }
-        if let Some(f) = rec_enter!(next_q, next_phi, next_sleep, next_ctx) {
-            stack.push(f);
+        if let Some(f) = enter!(key, Some(a)) {
+            stack.push(f)
         }
     }
-
-    let wrap = |x: &BTreeSet<u32>| x.iter().map(|&s| ProofStateId(s)).collect::<Vec<_>>();
-    Some(RecordedReduction {
-        initial: phi0,
-        edges: edges
-            .iter()
-            .map(|&(s, l, t)| (ProofStateId(s), LetterId(l), ProofStateId(t)))
-            .collect(),
-        bottoms: wrap(&bottoms),
-        safes: wrap(&safes),
-        claims: claims
-            .iter()
-            .map(|&(a, b, s)| (LetterId(a), LetterId(b), ProofStateId(s)))
-            .collect(),
-        ucommute: ucommute
-            .iter()
-            .map(|&(a, b)| (LetterId(a), LetterId(b)))
-            .collect(),
-    })
+    CheckResult::Proven
 }
 
 #[cfg(test)]
@@ -684,5 +584,70 @@ mod tests {
         c.mark(q.clone(), s.clone(), 0, vec![1]);
         assert_eq!(c.len(), 1);
         assert!(c.is_useless(&q, &s, 0, &[1]));
+    }
+
+    /// A certificate is dropped, never truncated, when the recording walk
+    /// trips its cap, and kept under the default budget.
+    #[test]
+    fn recording_drops_the_certificate_when_its_cap_trips() {
+        let source = "var x: int = 0;
+            thread inc { x := x + 1; }
+            thread check { assert x >= 0; }
+            spawn inc * 3;
+            spawn check;";
+        let mut pool = TermPool::new();
+        let program = cpl::compile(source, &mut pool).expect("compiles");
+        let spec = crate::verify::specs_of(&program)[0];
+        let verifier = crate::verify::VerifierConfig::gemcutter_seq();
+        let order = verifier.order.build();
+        let mut oracle = CommutativityOracle::new(verifier.commutativity);
+        let persistent = PersistentSets::new(&mut pool, &program, &mut oracle);
+        let mut proof = ProofAutomaton::new();
+        let x = pool.var("x");
+        let invariant = pool.ge_const(x, 0);
+        proof.add_assertion(invariant);
+        proof.add_assertion(TermPool::FALSE);
+        let config = CheckConfig::default();
+
+        // A fresh cache only skips what this round already explored, so the
+        // recording walk visits at least `checked` states.
+        let mut stats = CheckStats::default();
+        let result = check_proof(
+            &mut pool,
+            &program,
+            spec,
+            order.as_ref(),
+            &mut oracle,
+            Some(&persistent),
+            &mut proof,
+            &mut UselessCache::new(),
+            &config,
+            &mut stats,
+        );
+        assert_eq!(result, CheckResult::Proven);
+        let checked = stats.visited;
+        assert!(checked >= 2 * RECORD_VISITED_HEADROOM, "{checked} states");
+
+        let mut record = |max_visited: usize| {
+            record_reduction(
+                &mut pool,
+                &program,
+                spec,
+                order.as_ref(),
+                &mut oracle,
+                Some(&persistent),
+                &mut proof,
+                &CheckConfig {
+                    max_visited,
+                    ..config.clone()
+                },
+            )
+        };
+        assert!(record(checked / RECORD_VISITED_HEADROOM - 1).is_none());
+        let rec = record(config.max_visited).expect("recorded under the default budget");
+        assert!(!rec.edges.is_empty());
+        assert!(!rec.bottoms.is_empty(), "the refuted assert is a bottom");
+        assert!(!rec.claims.is_empty());
+        assert!(!rec.ucommute.is_empty());
     }
 }

@@ -112,7 +112,7 @@ pub struct EngineStats {
     /// Useless-cache entries after the most recent round (a gauge).
     pub useless_len: usize,
     /// Proven rounds whose certificate was dropped because the recording
-    /// re-walk tripped its state budget or the resource governor.
+    /// walk tripped its state budget or the resource governor.
     pub certs_dropped: usize,
     /// Interpolation counters.
     pub interpolation: InterpolationStats,
@@ -180,9 +180,11 @@ impl Engine {
     }
 
     /// Records this engine's certificate for `proof` after a round
-    /// returned [`RoundOutcome::Proven`] — one uncached re-walk of the
+    /// returned [`RoundOutcome::Proven`]: the proof-check DFS runs once
+    /// more, in recording mode with no useless-state cache, over the
     /// covered reduction. Returns `None` when certification is disabled
-    /// for the engine's configuration or the walk was interrupted.
+    /// for the engine's configuration or the walk tripped its state cap
+    /// or the governor (counted in `certs_dropped`).
     pub fn record_spec_cert(
         &mut self,
         pool: &mut TermPool,

@@ -80,9 +80,10 @@ pub struct VerifierConfig {
     /// Maximum refinement rounds before giving up.
     pub max_rounds: usize,
     /// Maximum visited states per proof-check round. One documented
-    /// budget: the DFS and the certificate recording re-walk both stop
-    /// at this bound (each also charges `Category::DfsStates` per state,
-    /// so [`GovernorConfig`] owns the run-wide limit).
+    /// budget for the one DFS: a check round stops at this bound and
+    /// certificate recording at [`crate::check::RECORD_VISITED_HEADROOM`]
+    /// times it (both charge `Category::DfsStates` per state, so
+    /// [`GovernorConfig`] owns the run-wide limit).
     pub max_visited_per_round: usize,
     /// Resource governance: deadline, run-wide step budgets and fault
     /// injection. Unlimited by default.
@@ -274,7 +275,7 @@ pub struct RunStats {
     /// Solver queries that fell through to a real solve (same rule).
     pub qcache_misses: u64,
     /// Proven results whose certificate was dropped because the recording
-    /// re-walk tripped its state budget or the resource governor.
+    /// walk tripped its state budget or the resource governor.
     pub certs_dropped: usize,
     /// Certificates re-checked before being served or accepted.
     pub certs_checked: usize,

@@ -12,13 +12,17 @@
 use proptest::prelude::*;
 use seqver::bench_suite::{self, Expected};
 use seqver::gemcutter::certify::{check_certificate, CertMutation, Certificate, CertifyMode};
-use seqver::gemcutter::verify::{verify, Verdict, VerifierConfig};
+use seqver::gemcutter::engine::{Engine, RoundOutcome};
+use seqver::gemcutter::proof::ProofAutomaton;
+use seqver::gemcutter::snapshot::fnv1a;
+use seqver::gemcutter::verify::{specs_of, verify, Verdict, VerifierConfig};
 use seqver::program::concurrent::Program;
 use seqver::smt::TermPool;
 use std::sync::OnceLock;
 
 /// One verified fixture: CPL source plus its certificate, serialized.
 struct Fixture {
+    name: String,
     source: String,
     cert_text: String,
 }
@@ -53,6 +57,7 @@ fn fixtures(expected: Expected, want: usize) -> Vec<Fixture> {
             b.name
         );
         out.push(Fixture {
+            name: b.name.clone(),
             source: b.source.clone(),
             cert_text: cert.to_text(),
         });
@@ -118,6 +123,62 @@ fn certificate_text_roundtrips_bit_identically() {
         let cert = Certificate::parse(&fixture.cert_text).expect("parses");
         assert_eq!(cert.to_text(), fixture.cert_text);
     }
+}
+
+/// FNV-1a of each safe fixture's certificate text. The recording walk must
+/// reproduce these bytes exactly; a deliberate change to the certificate
+/// format or the walk re-pins them.
+const PINNED_SAFE_CERTS: [(&str, u64); 2] = [
+    ("bluetooth-1", 0xf19a_addf_537d_51ee),
+    ("bluetooth-2", 0xbd94_5da4_343b_b5ca),
+];
+
+/// Useless-cache skips taken by the conclusive round of each spec,
+/// summed: the refinement loop re-run one engine round at a time, as
+/// `drive`'s take-turns schedule runs a single member.
+fn conclusive_round_skips(source: &str) -> usize {
+    let mut pool = TermPool::new();
+    let program = compile(source, &mut pool);
+    let config = VerifierConfig::gemcutter_seq();
+    let mut skips = 0;
+    for spec in specs_of(&program) {
+        let mut engine = Engine::new(&mut pool, &program, spec, &config);
+        let mut proof = ProofAutomaton::new();
+        loop {
+            let before = engine.stats.cache_skips;
+            match engine.round(&mut pool, &program, &mut proof) {
+                RoundOutcome::Proven => {
+                    skips += engine.stats.cache_skips - before;
+                    break;
+                }
+                RoundOutcome::Refined => {}
+                other => panic!("unexpected round outcome {other:?}"),
+            }
+        }
+    }
+    skips
+}
+
+#[test]
+fn safe_certificates_are_byte_identical_to_the_pinned_ones() {
+    let fixtures = safe_fixtures();
+    assert_eq!(fixtures.len(), PINNED_SAFE_CERTS.len());
+    let mut skipped = false;
+    for (fixture, (name, hash)) in fixtures.iter().zip(PINNED_SAFE_CERTS) {
+        assert_eq!(fixture.name, name);
+        assert_eq!(
+            fnv1a(fixture.cert_text.as_bytes()),
+            hash,
+            "{name}: certificate bytes changed"
+        );
+        assert_eq!(
+            check_mutated(fixture, None, 0, CertifyMode::Full),
+            Some(true)
+        );
+        skipped |= conclusive_round_skips(&fixture.source) > 0;
+    }
+    // Recording expands the subtrees such a round skipped.
+    assert!(skipped, "no pinned fixture's conclusive round took a skip");
 }
 
 /// The mutations applicable to a CORRECT (proof) certificate.
