@@ -5,7 +5,7 @@
 //! Run: `cargo run --release -p bench --bin ablation_adaptive`
 
 use bench_suite::Expected;
-use gemcutter::drive::{drive, Run, Schedule};
+use gemcutter::drive::{drive, Run};
 use gemcutter::portfolio::{default_portfolio, portfolio_verify};
 use gemcutter::verify::Verdict;
 use smt::term::TermPool;
@@ -38,12 +38,7 @@ fn main() {
 
         let mut pool2 = TermPool::new();
         let p2 = b.compile(&mut pool2);
-        let adaptive = drive(
-            &mut pool2,
-            &p2,
-            &Run::new(Schedule::TakeTurns, default_portfolio()),
-        )
-        .outcome;
+        let adaptive = drive(&mut pool2, &p2, &Run::new(default_portfolio())).outcome;
 
         let ok = |v: &Verdict| {
             matches!(

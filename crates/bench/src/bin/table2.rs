@@ -1,8 +1,7 @@
 //! **Table 2**: proof size for successfully verified correct programs and
 //! time per refinement round for all successfully analysed programs —
-//! Automizer vs. five GemCutter variants (portfolio, sleep-only,
-//! persistent-only, lockstep, and the multi-threaded shared-proof
-//! parallel portfolio), plus the solver-level query-cache ablation
+//! Automizer vs. four GemCutter variants (portfolio, sleep-only,
+//! persistent-only and lockstep), plus the solver-level query-cache ablation
 //! (`seq` vs. `seq-nocache`). The ablation pair is asserted identical
 //! per benchmark (verdict, trace, rounds, proof size) and its measured
 //! time-per-round speedup and hit rates are emitted to
@@ -10,9 +9,9 @@
 //!
 //! Run: `cargo run --release -p bench --bin table2`
 
-use bench::{run_config, run_parallel, run_portfolio, run_supervised, Aggregate, Run};
+use bench::{run_config, run_portfolio, run_supervised, Aggregate, Run};
 use bench_suite::{Expected, Suite};
-use gemcutter::drive::{RetryPolicy, Schedule};
+use gemcutter::drive::RetryPolicy;
 use gemcutter::govern::Category;
 use gemcutter::verify::{Verdict, VerifierConfig};
 use smt::SolverKind;
@@ -319,13 +318,6 @@ fn main() {
         Column {
             name: "lockstep",
             runs: run_config(&corpus, &VerifierConfig::gemcutter_lockstep()),
-        },
-        Column {
-            name: "parallel",
-            runs: run_parallel(&corpus, Schedule::Race)
-                .into_iter()
-                .map(|(r, _)| r)
-                .collect(),
         },
         Column {
             name: "supervised",

@@ -6,7 +6,7 @@
 //! portfolio model, and plain-text table/series formatting.
 
 use bench_suite::{Benchmark, Expected, Suite};
-use gemcutter::drive::{drive, EngineReport, RetryPolicy, Schedule};
+use gemcutter::drive::{drive, RetryPolicy};
 use gemcutter::portfolio::{default_portfolio, portfolio_verify};
 use gemcutter::verify::{verify, Outcome, Verdict, VerifierConfig};
 use smt::term::TermPool;
@@ -114,40 +114,6 @@ pub fn run_portfolio(benchmarks: &[Benchmark], full: bool) -> Vec<(Run, Vec<(Str
                 run.expected
             );
             (run, result.members)
-        })
-        .collect()
-}
-
-/// Runs the five §8 orders as a **multi-threaded shared-proof
-/// portfolio** on `benchmarks`: every preference order refines on its own
-/// OS thread under `schedule` ([`Schedule::Lockstep`] or
-/// [`Schedule::Race`]), exchanging newly discovered assertions.
-pub fn run_parallel(benchmarks: &[Benchmark], schedule: Schedule) -> Vec<(Run, Vec<EngineReport>)> {
-    let run = gemcutter::drive::Run::new(schedule, default_portfolio());
-    benchmarks
-        .iter()
-        .map(|b| {
-            let mut pool = TermPool::new();
-            let p = b.compile(&mut pool);
-            let result = drive(&mut pool, &p, &run);
-            let run = Run {
-                name: b.name.clone(),
-                suite: b.suite,
-                expected: b.expected,
-                config: result
-                    .winner
-                    .clone()
-                    .unwrap_or_else(|| "parallel".to_owned()),
-                outcome: result.outcome.clone(),
-            };
-            assert!(
-                !run.contradicts_ground_truth(),
-                "SOUNDNESS BUG on {}: {:?} but expected {:?}",
-                run.name,
-                run.outcome.verdict,
-                run.expected
-            );
-            (run, result.engines)
         })
         .collect()
 }

@@ -40,8 +40,7 @@ pub enum CheckResult {
     /// The state budget was exhausted.
     LimitReached,
     /// The round was aborted by the pool's resource governor: deadline,
-    /// step budget, cooperative cancellation (another portfolio member
-    /// concluded) or an injected fault. The give-up carries the cause.
+    /// step budget or an injected fault. The give-up carries the cause.
     Interrupted(GiveUp),
 }
 
@@ -479,28 +478,32 @@ fn walk(
             return CheckResult::LimitReached;
         }
         // One DFS state per iteration; the charge also observes the
-        // deadline, cancellation flag and any injected fault, so a round
-        // aborts mid-DFS rather than between rounds.
+        // deadline and any injected fault, so a round aborts mid-DFS
+        // rather than between rounds.
         if let Err(give_up) = governor.charge(Category::DfsStates) {
             return CheckResult::Interrupted(give_up);
         }
         if frame.next >= frame.explore.len() {
-            // Subtree done: pop, record, propagate taint.
+            // Subtree done: pop, record, propagate taint. Only the
+            // useless-cache marking reads the status and the taint, so a
+            // recording walk leaves the `OnStack` entry, whose presence
+            // alone dedups.
             let frame = stack.pop().expect("frame exists");
+            let Some(cache) = useless.as_deref_mut() else {
+                continue;
+            };
             let status = if frame.tainted {
                 if let Some(parent) = stack.last_mut() {
                     parent.tainted = true;
                 }
                 VisitStatus::DoneTainted
             } else {
-                if let Some(cache) = useless.as_deref_mut() {
-                    cache.mark(
-                        frame.q.clone(),
-                        frame.sleep.clone(),
-                        frame.ctx,
-                        proof.assertion_set(frame.phi).to_vec(),
-                    );
-                }
+                cache.mark(
+                    frame.q.clone(),
+                    frame.sleep.clone(),
+                    frame.ctx,
+                    proof.assertion_set(frame.phi).to_vec(),
+                );
                 VisitStatus::DoneClean
             };
             visited.insert((frame.q, frame.phi, frame.sleep, frame.ctx), status);

@@ -3,44 +3,35 @@
 //! every way the verifier runs it.
 //!
 //! [`drive`] takes a [`Run`]: the member configurations (one preference
-//! order each), a [`Schedule`], a [`RetryPolicy`] and optional seed,
-//! checkpoint, resume and interrupt settings.
+//! order each), a [`RetryPolicy`] and optional seed, checkpoint, resume and
+//! interrupt settings.
 //!
-//! * **Schedules.** [`Schedule::TakeTurns`] runs the members on the
-//!   calling thread over one shared proof, one round at a time, cheapest
-//!   member (fewest visited states) first — the direction sketched in the
-//!   paper's §8 Limitations. With one member it is the plain refinement
-//!   loop of [`crate::verify::verify`]. [`Schedule::Lockstep`] and
-//!   [`Schedule::Race`] run one OS thread per member, each with its own
-//!   [`TermPool`] clone and proof, relaying newly discovered assertions as
-//!   pool-independent [`ExportedTerm`]s: lockstep exchanges them at round
-//!   barriers in member order (verdict, round counts and certificates are
-//!   reproducible), race as soon as they appear, and the first conclusive
-//!   member wins and cancels the others mid-query.
+//! * **Taking turns.** The members run on the calling thread over one
+//!   shared proof, one round at a time, cheapest member (fewest visited
+//!   states) first — the direction sketched in the paper's §8 Limitations.
+//!   With one member this is the plain refinement loop of
+//!   [`crate::verify::verify`].
 //! * **Per attempt.** Each member gets a governor built from its `govern`
 //!   limits, its solver kind and its query-cache setting, installed on the
-//!   pool it runs on (the caller's pool is restored at the end). Race
-//!   members build a fresh governor per spec with the attempt's remaining
-//!   deadline, because the race's stop flag trips the losers' governors.
+//!   pool before each of its rounds (the caller's settings are restored at
+//!   the end).
 //! * **Per round** (`Seat::step`): honour the member's `max_rounds`,
 //!   charge [`Category::Rounds`], contain panics at round granularity,
 //!   and record the certificate when the round proves the spec.
 //! * **Around attempts**, one ladder: a give-up escalates every member's
 //!   deadline and step budgets (and `max_visited_per_round`) by the
-//!   [`RetryPolicy`], recycles the proofs of the failed spec as seeds, and
-//!   resumes at that spec. Round-boundary checkpoints ([`Run::checkpoint`],
-//!   written under `TakeTurns`; spec boundaries under every schedule) make
-//!   a killed run resumable with the same verdict and cumulative round
-//!   count ([`Run::resume`]).
+//!   [`RetryPolicy`], recycles the proof of the failed spec as seeds, and
+//!   resumes at that spec. Round-boundary and spec-boundary checkpoints
+//!   ([`Run::checkpoint`]) make a killed run resumable with the same
+//!   verdict and cumulative round count ([`Run::resume`]).
 //!
 //! **Counters.** Every member's engine folds through
-//! [`RunStats::add_engine`]; `hoare_checks` sums the proofs' counts over
-//! specs (a shared proof counts once), read before any certificate-
-//! recording walk. Query-cache counters follow one rule: the delta of the
-//! run's cache between the start and the end of [`drive`] — engine set-up,
-//! rounds and certificate recording included, across attempts and worker
-//! clones — or zero when no member uses the cache. The delta is exact when
-//! nothing else uses the cache concurrently.
+//! [`RunStats::add_engine`]; `hoare_checks` sums the shared proofs' counts
+//! over specs, read before any certificate-recording walk. Query-cache
+//! counters follow one rule: the delta of the run's cache between the start
+//! and the end of [`drive`] — engine set-up, rounds and certificate
+//! recording included, across attempts — or zero when no member uses the
+//! cache. The delta is exact when nothing else uses the cache concurrently.
 //!
 //! **Soundness of recycling.** Seeds are only ever *candidate* assertions:
 //! the proof automaton re-validates every transition with a Hoare query and
@@ -63,24 +54,8 @@ use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// How the members of a [`Run`] share the work.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Schedule {
-    /// One round at a time on the calling thread, cheapest member first,
-    /// over one shared proof.
-    #[default]
-    TakeTurns,
-    /// One thread per member; assertions exchanged at round barriers in
-    /// member order; the lowest-indexed conclusive member wins.
-    Lockstep,
-    /// One thread per member; assertions relayed as they appear; the
-    /// first conclusive member wins.
-    Race,
-}
 
 /// The escalation ladder: how many restarts a run gets and how fast its
 /// resource limits grow between them.
@@ -153,10 +128,9 @@ impl RetryPolicy {
 /// Everything [`drive`] needs besides the pool and the program.
 #[derive(Clone, Debug, Default)]
 pub struct Run {
-    /// The member configurations; at least one.
+    /// The member configurations; at least one. They take turns over one
+    /// shared proof, cheapest first.
     pub members: Vec<VerifierConfig>,
-    /// How the members share the work.
-    pub schedule: Schedule,
     /// The escalation ladder around attempts.
     pub retry: RetryPolicy,
     /// Candidate assertions imported into the first analyzed spec's
@@ -174,19 +148,17 @@ pub struct Run {
 }
 
 impl Run {
-    /// A run of `members` under `schedule`, without retries, seeds or
-    /// checkpoints.
-    pub fn new(schedule: Schedule, members: Vec<VerifierConfig>) -> Run {
+    /// A run of `members`, without retries, seeds or checkpoints.
+    pub fn new(members: Vec<VerifierConfig>) -> Run {
         Run {
             members,
-            schedule,
             ..Run::default()
         }
     }
 
     /// The plain refinement loop: one member taking every turn.
     pub fn single(config: &VerifierConfig) -> Run {
-        Run::new(Schedule::TakeTurns, vec![config.clone()])
+        Run::new(vec![config.clone()])
     }
 
     /// Sets the escalation ladder; builder style.
@@ -287,8 +259,7 @@ impl Driven {
     }
 }
 
-/// Verifies `program` with the members of `run` under its schedule and
-/// retry ladder.
+/// Verifies `program` with the members of `run` under its retry ladder.
 ///
 /// A resumed run whose snapshot does not match `program` refuses to start
 /// and reports a give-up — it never verifies the wrong program against
@@ -341,21 +312,7 @@ pub fn drive(pool: &mut TermPool, program: &Program, run: &Run) -> Driven {
             let Some(&spec) = specs.get(lad.specs_done) else {
                 break End::Proven;
             };
-            let phase = match run.schedule {
-                Schedule::TakeTurns => {
-                    take_turns(pool, program, spec, &members, cache.as_ref(), &mut lad)
-                }
-                Schedule::Lockstep | Schedule::Race => threaded(
-                    pool,
-                    program,
-                    spec,
-                    &members,
-                    cache.as_ref(),
-                    &lad.recycled.list,
-                    run.schedule == Schedule::Race,
-                ),
-            };
-            match lad.absorb(phase, &members) {
+            match lad.take_turns(pool, program, spec, &members, cache.as_ref()) {
                 End::Proven => {
                     lad.specs_done += 1;
                     lad.recycled.clear();
@@ -468,17 +425,6 @@ impl Member {
             }
         }
     }
-
-    /// A governor for one race phase: this member's limits, the attempt's
-    /// remaining deadline, and the race's stop flag as cancellation token.
-    fn race_governor(&self, stop: &Arc<AtomicBool>) -> ResourceGovernor {
-        let mut govern = self.config.govern.clone();
-        govern.deadline = self
-            .governor
-            .deadline()
-            .map(|d| d.saturating_duration_since(Instant::now()));
-        govern.build_with_cancel(Arc::clone(stop))
-    }
 }
 
 /// One member's engine on one spec.
@@ -498,7 +444,7 @@ impl Seat {
     }
 
     /// One refinement round of `config` against `proof` under the
-    /// governor installed on `pool` — the one round every schedule runs.
+    /// governor installed on `pool`.
     /// Creates the engine on first use, honours `max_rounds`, charges
     /// [`Category::Rounds`], records the certificate when the round proves
     /// the spec, and contains panics as [`Category::InjectedFault`]
@@ -556,445 +502,21 @@ enum End {
     Interrupted,
 }
 
-/// How one member ended a spec phase, with its counters.
-struct MemberEnd {
-    stats: EngineStats,
-    proof_size: usize,
-    status: EngineStatus,
-}
-
-/// One spec phase of one attempt, as every schedule reports it.
-struct Phase {
-    end: End,
-    /// The member that decided the spec.
-    winner: Option<usize>,
-    /// The winner's certificate, when it proved the spec.
-    cert: Option<SpecCert>,
-    /// One entry per member, in member order.
-    members: Vec<MemberEnd>,
-    /// Hoare checks of the phase's proofs (a shared proof counts once).
-    hoare_checks: usize,
-    /// Largest proof of the phase.
-    proof_size: usize,
-    /// Every assertion of the phase's proofs, exported.
-    harvest: Vec<ExportedTerm>,
-}
-
-/// The phase's give-up when no member concluded: a lone member's own
-/// give-up, otherwise the first root cause in member order (a `cancelled`
-/// member only echoes whichever member tripped first).
-fn all_gave_up(members: &[MemberEnd]) -> GiveUp {
-    let give_ups: Vec<&GiveUp> = members
-        .iter()
-        .filter_map(|m| match &m.status {
-            EngineStatus::GaveUp(g) => Some(g),
-            _ => None,
-        })
-        .collect();
-    match give_ups
-        .iter()
-        .find(|g| g.category != Category::Cancelled)
-        .or(give_ups.first())
-    {
-        Some(&g) if members.len() == 1 => g.clone(),
-        Some(g) => GiveUp::new(
-            g.category,
-            format!("every portfolio engine gave up (e.g. {})", g.reason),
-        ),
-        None => GiveUp::new(Category::Cancelled, "every portfolio engine gave up"),
+/// The phase's give-up when every member gave up: a lone member's own
+/// give-up, otherwise the first member's cause.
+fn all_gave_up(gave_up: &[Option<GiveUp>]) -> GiveUp {
+    let first = gave_up[0].clone().expect("every member gave up");
+    if gave_up.len() == 1 {
+        return first;
     }
-}
-
-fn import(pool: &mut TermPool, proof: &mut ProofAutomaton, batch: &[ExportedTerm]) {
-    for t in batch {
-        let id = pool.import(t);
-        proof.add_assertion(id);
-    }
+    GiveUp::new(
+        first.category,
+        format!("every portfolio engine gave up (e.g. {})", first.reason),
+    )
 }
 
 fn export(pool: &TermPool, terms: &[TermId]) -> Vec<ExportedTerm> {
     terms.iter().map(|&t| pool.export(t)).collect()
-}
-
-/// [`Schedule::TakeTurns`] on one spec: the members take turns over one
-/// shared proof on the calling thread, cheapest first.
-fn take_turns(
-    pool: &mut TermPool,
-    program: &Program,
-    spec: Spec,
-    members: &[Member],
-    cache: Option<&QueryCache>,
-    lad: &mut Ladder,
-) -> Phase {
-    let mut proof = ProofAutomaton::new();
-    import(pool, &mut proof, &lad.recycled.list);
-    let mut seats: Vec<Seat> = members.iter().map(|_| Seat::default()).collect();
-    let mut gave_up: Vec<Option<GiveUp>> = vec![None; members.len()];
-    let spec_rounds = |seats: &[Seat]| seats.iter().map(|s| s.stats().rounds).sum::<usize>();
-    let (end, winner) = loop {
-        let Some(i) = (0..members.len())
-            .filter(|&i| gave_up[i].is_none())
-            .min_by_key(|&i| seats[i].stats().visited)
-        else {
-            break (None, None);
-        };
-        if lad.is_interrupted() {
-            lad.write_checkpoint(pool, Some(&proof), spec_rounds(&seats));
-            break (Some(End::Interrupted), None);
-        }
-        members[i].install(pool, cache);
-        match seats[i].step(pool, program, spec, &members[i].config, &mut proof) {
-            RoundOutcome::Refined => {
-                lad.write_checkpoint(pool, Some(&proof), spec_rounds(&seats));
-            }
-            RoundOutcome::Proven => break (Some(End::Proven), Some(i)),
-            RoundOutcome::Bug(trace) => break (Some(End::Bug(trace)), Some(i)),
-            RoundOutcome::GaveUp(g) => gave_up[i] = Some(g),
-            // Only a tripped governor cancels a turn; it recorded the cause.
-            RoundOutcome::Cancelled => {
-                gave_up[i] = Some(
-                    pool.governor()
-                        .give_up()
-                        .unwrap_or_else(|| GiveUp::new(Category::Cancelled, "governor tripped")),
-                )
-            }
-        }
-    };
-    let proof_size = proof.proof_size();
-    let member_ends: Vec<MemberEnd> = seats
-        .iter()
-        .zip(gave_up)
-        .enumerate()
-        .map(|(i, (seat, g))| MemberEnd {
-            stats: seat.stats(),
-            proof_size,
-            status: match g {
-                Some(g) => EngineStatus::GaveUp(g),
-                None if winner == Some(i) => EngineStatus::Won,
-                None => EngineStatus::Lost,
-            },
-        })
-        .collect();
-    let end = end.unwrap_or_else(|| End::GaveUp(all_gave_up(&member_ends)));
-    let (hoare_checks, cert) = winner.map_or((None, None), |w| {
-        (seats[w].proven_hoare_checks, seats[w].cert.take())
-    });
-    Phase {
-        end,
-        winner,
-        cert,
-        members: member_ends,
-        hoare_checks: hoare_checks.unwrap_or_else(|| proof.stats().hoare_checks),
-        proof_size,
-        harvest: export(pool, proof.assertions()),
-    }
-}
-
-/// Worker → coordinator messages of a threaded phase.
-enum WorkerMsg {
-    /// The assertions one round added (possibly none — in lockstep every
-    /// round replies, which is the barrier).
-    Batch {
-        member: usize,
-        batch: Vec<ExportedTerm>,
-    },
-    /// The member is done with the spec.
-    Exit(Box<WorkerExit>),
-}
-
-/// The terminal state of one worker.
-struct WorkerExit {
-    member: usize,
-    /// `Proven`, `Bug`, `GaveUp` or `Cancelled` (stopped by the phase).
-    outcome: RoundOutcome,
-    stats: EngineStats,
-    proof_size: usize,
-    hoare_checks: usize,
-    /// The worker's whole proof, exported.
-    assertions: Vec<ExportedTerm>,
-    cert: Option<SpecCert>,
-}
-
-impl WorkerExit {
-    /// The record of a worker that gave up without running its loop to
-    /// the end (its thread panicked outside a round, or its exit report
-    /// never arrived).
-    fn lost(member: usize, give_up: GiveUp) -> WorkerExit {
-        WorkerExit {
-            member,
-            outcome: RoundOutcome::GaveUp(give_up),
-            stats: EngineStats::default(),
-            proof_size: 0,
-            hoare_checks: 0,
-            assertions: Vec::new(),
-            cert: None,
-        }
-    }
-
-    fn concluded(&self) -> bool {
-        matches!(self.outcome, RoundOutcome::Proven | RoundOutcome::Bug(_))
-    }
-}
-
-/// [`Schedule::Lockstep`] and [`Schedule::Race`] on one spec: one thread
-/// per member, each with a clone of `pool` (sharing its query cache) and
-/// its own proof seeded with `seeds`.
-fn threaded(
-    pool: &TermPool,
-    program: &Program,
-    spec: Spec,
-    members: &[Member],
-    cache: Option<&QueryCache>,
-    seeds: &[ExportedTerm],
-    race: bool,
-) -> Phase {
-    let n = members.len();
-    let stop = Arc::new(AtomicBool::new(false));
-    let (to_coord, from_workers) = channel::<WorkerMsg>();
-    let (winner, exits) = std::thread::scope(|scope| {
-        let mut to_workers = Vec::with_capacity(n);
-        for (idx, member) in members.iter().enumerate() {
-            let (tx_batches, rx_batches) = channel::<Vec<Vec<ExportedTerm>>>();
-            to_workers.push(tx_batches);
-            let tx = to_coord.clone();
-            let stop = Arc::clone(&stop);
-            let mut worker_pool = pool.clone();
-            scope.spawn(move || {
-                let exit = catch_unwind(AssertUnwindSafe(|| {
-                    member.install(&mut worker_pool, cache);
-                    if race {
-                        worker_pool.set_governor(member.race_governor(&stop));
-                    }
-                    let ctx = WorkerCtx {
-                        program,
-                        spec,
-                        member,
-                        idx,
-                        race,
-                        rx: &rx_batches,
-                        tx: &tx,
-                        stop: &stop,
-                    };
-                    ctx.run(&mut worker_pool, seeds)
-                }))
-                .unwrap_or_else(|payload| {
-                    let reason = format!("worker panicked: {}", panic_reason(payload.as_ref()));
-                    WorkerExit::lost(idx, GiveUp::new(Category::InjectedFault, reason))
-                });
-                // The coordinator may already be gone when the phase was
-                // decided; a failed send is fine then.
-                let _ = tx.send(WorkerMsg::Exit(Box::new(exit)));
-            });
-        }
-        drop(to_coord);
-        if race {
-            coordinate_race(n, &from_workers, &to_workers, &stop)
-        } else {
-            coordinate_lockstep(n, &from_workers, to_workers)
-        }
-    });
-    let mut exits: Vec<WorkerExit> = exits
-        .into_iter()
-        .enumerate()
-        .map(|(i, e)| {
-            e.unwrap_or_else(|| {
-                let reason = format!("worker lost: engine {i} exited without a report");
-                WorkerExit::lost(i, GiveUp::new(Category::Cancelled, reason))
-            })
-        })
-        .collect();
-    let members: Vec<MemberEnd> = exits
-        .iter()
-        .map(|e| MemberEnd {
-            stats: e.stats,
-            proof_size: e.proof_size,
-            status: match &e.outcome {
-                RoundOutcome::GaveUp(g) => EngineStatus::GaveUp(g.clone()),
-                _ if winner == Some(e.member) => EngineStatus::Won,
-                _ => EngineStatus::Lost,
-            },
-        })
-        .collect();
-    let end = match winner.map(|w| &exits[w].outcome) {
-        Some(RoundOutcome::Proven) => End::Proven,
-        Some(RoundOutcome::Bug(trace)) => End::Bug(trace.clone()),
-        _ => End::GaveUp(all_gave_up(&members)),
-    };
-    Phase {
-        end,
-        winner,
-        cert: winner.and_then(|w| exits[w].cert.take()),
-        hoare_checks: exits.iter().map(|e| e.hoare_checks).sum(),
-        proof_size: exits.iter().map(|e| e.proof_size).max().unwrap_or(0),
-        harvest: exits.into_iter().flat_map(|e| e.assertions).collect(),
-        members,
-    }
-}
-
-/// What one worker thread needs besides its pool.
-struct WorkerCtx<'a> {
-    program: &'a Program,
-    spec: Spec,
-    member: &'a Member,
-    idx: usize,
-    race: bool,
-    rx: &'a Receiver<Vec<Vec<ExportedTerm>>>,
-    tx: &'a Sender<WorkerMsg>,
-    stop: &'a AtomicBool,
-}
-
-impl WorkerCtx<'_> {
-    /// The worker's round loop: absorb the other members' assertions
-    /// (lockstep: block at the barrier; race: drain what arrived), run one
-    /// round, publish what it added.
-    fn run(&self, pool: &mut TermPool, seeds: &[ExportedTerm]) -> WorkerExit {
-        let mut seat = Seat::default();
-        let mut proof = ProofAutomaton::new();
-        import(pool, &mut proof, seeds);
-        let outcome = loop {
-            if self.race {
-                while let Ok(batches) = self.rx.try_recv() {
-                    batches.iter().for_each(|b| import(pool, &mut proof, b));
-                }
-                if self.stop.load(Ordering::Relaxed) {
-                    break RoundOutcome::Cancelled;
-                }
-            } else {
-                // A closed channel is the coordinator's stop signal.
-                let Ok(batches) = self.rx.recv() else {
-                    break RoundOutcome::Cancelled;
-                };
-                batches.iter().for_each(|b| import(pool, &mut proof, b));
-            }
-            match seat.step(
-                pool,
-                self.program,
-                self.spec,
-                &self.member.config,
-                &mut proof,
-            ) {
-                RoundOutcome::Refined => {
-                    let added = seat.engine.as_mut().map(Engine::take_new_assertions);
-                    let batch = export(pool, &added.unwrap_or_default());
-                    let msg = WorkerMsg::Batch {
-                        member: self.idx,
-                        batch,
-                    };
-                    if self.tx.send(msg).is_err() {
-                        break RoundOutcome::Cancelled;
-                    }
-                }
-                done => break done,
-            }
-        };
-        WorkerExit {
-            member: self.idx,
-            outcome,
-            stats: seat.stats(),
-            proof_size: proof.proof_size(),
-            hoare_checks: seat
-                .proven_hoare_checks
-                .unwrap_or_else(|| proof.stats().hoare_checks),
-            assertions: export(pool, proof.assertions()),
-            cert: seat.cert,
-        }
-    }
-}
-
-/// Lockstep coordinator: full round barriers, batches broadcast in member
-/// order, the lowest-indexed member that concluded in a round wins.
-/// Dropping the senders releases the survivors as cancelled.
-fn coordinate_lockstep(
-    n: usize,
-    from_workers: &Receiver<WorkerMsg>,
-    mut to_workers: Vec<Sender<Vec<Vec<ExportedTerm>>>>,
-) -> (Option<usize>, Vec<Option<WorkerExit>>) {
-    let mut exits: Vec<Option<WorkerExit>> = (0..n).map(|_| None).collect();
-    // Batches of the previous round, by member.
-    let mut pending: Vec<Vec<ExportedTerm>> = vec![Vec::new(); n];
-    loop {
-        let living: Vec<usize> = (0..n).filter(|&i| exits[i].is_none()).collect();
-        if living.is_empty() {
-            return (None, exits);
-        }
-        let broadcast: Vec<Vec<ExportedTerm>> = pending
-            .iter_mut()
-            .filter(|b| !b.is_empty())
-            .map(std::mem::take)
-            .collect();
-        for &i in &living {
-            // A failed send means the worker already exited; its exit
-            // report is collected below.
-            let _ = to_workers[i].send(broadcast.clone());
-        }
-        for _ in &living {
-            match from_workers.recv() {
-                Ok(WorkerMsg::Batch { member, batch }) => pending[member] = batch,
-                Ok(WorkerMsg::Exit(exit)) => {
-                    let i = exit.member;
-                    exits[i] = Some(*exit);
-                }
-                // Every worker is gone; missing reports become give-ups.
-                Err(_) => return (None, exits),
-            }
-        }
-        let winner = living
-            .into_iter()
-            .find(|&i| exits[i].as_ref().is_some_and(WorkerExit::concluded));
-        if winner.is_some() {
-            to_workers.clear();
-            drain_exits(from_workers, &mut exits);
-            return (winner, exits);
-        }
-    }
-}
-
-/// Race coordinator: relays batches as they arrive; the first conclusive
-/// exit wins and raises the stop flag.
-fn coordinate_race(
-    n: usize,
-    from_workers: &Receiver<WorkerMsg>,
-    to_workers: &[Sender<Vec<Vec<ExportedTerm>>>],
-    stop: &AtomicBool,
-) -> (Option<usize>, Vec<Option<WorkerExit>>) {
-    let mut exits: Vec<Option<WorkerExit>> = (0..n).map(|_| None).collect();
-    let mut winner = None;
-    while exits.iter().any(Option::is_none) {
-        match from_workers.recv() {
-            Ok(WorkerMsg::Batch { member, batch }) if !batch.is_empty() => {
-                for (i, sender) in to_workers.iter().enumerate() {
-                    if i != member && exits[i].is_none() {
-                        let _ = sender.send(vec![batch.clone()]);
-                    }
-                }
-            }
-            Ok(WorkerMsg::Batch { .. }) => {}
-            Ok(WorkerMsg::Exit(exit)) => {
-                let i = exit.member;
-                if winner.is_none() && exit.concluded() {
-                    winner = Some(i);
-                    stop.store(true, Ordering::Relaxed);
-                }
-                exits[i] = Some(*exit);
-            }
-            Err(_) => break,
-        }
-    }
-    (winner, exits)
-}
-
-/// Receives the remaining exit reports after the phase was decided.
-fn drain_exits(from_workers: &Receiver<WorkerMsg>, exits: &mut [Option<WorkerExit>]) {
-    while exits.iter().any(Option::is_none) {
-        match from_workers.recv() {
-            Ok(WorkerMsg::Exit(exit)) => {
-                let i = exit.member;
-                exits[i] = Some(*exit);
-            }
-            Ok(WorkerMsg::Batch { .. }) => {}
-            Err(_) => break,
-        }
-    }
 }
 
 /// Exported assertions, deduplicated, in discovery order.
@@ -1078,35 +600,87 @@ impl Ladder {
             .is_some_and(|f| f.load(Ordering::Relaxed))
     }
 
-    /// Folds one spec phase into the run: counters, reports, give-up
-    /// history, harvest (recycled only when the phase failed — a decided
-    /// spec's assertions do not seed the next spec) and certificate.
-    fn absorb(&mut self, phase: Phase, members: &[Member]) -> End {
-        for (member, end) in members.iter().zip(phase.members) {
-            self.stats.add_engine(&end.stats);
-            if let EngineStatus::GaveUp(g) = &end.status {
-                let entry = AttributedGiveUp::new(&member.config.name, g.clone());
-                push_give_up_deduped(&mut self.give_ups, entry);
+    /// One spec phase of one attempt: the members take turns over one
+    /// shared proof, seeded with the recycled assertions, cheapest first.
+    /// Folds the phase into the run — counters, reports, give-up history,
+    /// harvest (recycled only when the phase failed: a decided spec's
+    /// assertions do not seed the next spec) and certificate — and returns
+    /// how it ended.
+    fn take_turns(
+        &mut self,
+        pool: &mut TermPool,
+        program: &Program,
+        spec: Spec,
+        members: &[Member],
+        cache: Option<&QueryCache>,
+    ) -> End {
+        let mut proof = ProofAutomaton::new();
+        for t in &self.recycled.list {
+            let id = pool.import(t);
+            proof.add_assertion(id);
+        }
+        let mut seats: Vec<Seat> = members.iter().map(|_| Seat::default()).collect();
+        let mut gave_up: Vec<Option<GiveUp>> = vec![None; members.len()];
+        let spec_rounds = |seats: &[Seat]| seats.iter().map(|s| s.stats().rounds).sum::<usize>();
+        let (end, winner) = loop {
+            let Some(i) = (0..members.len())
+                .filter(|&i| gave_up[i].is_none())
+                .min_by_key(|&i| seats[i].stats().visited)
+            else {
+                break (End::GaveUp(all_gave_up(&gave_up)), None);
+            };
+            if self.is_interrupted() {
+                self.write_checkpoint(pool, Some(&proof), spec_rounds(&seats));
+                break (End::Interrupted, None);
             }
+            members[i].install(pool, cache);
+            match seats[i].step(pool, program, spec, &members[i].config, &mut proof) {
+                RoundOutcome::Refined => {
+                    self.write_checkpoint(pool, Some(&proof), spec_rounds(&seats));
+                }
+                RoundOutcome::Proven => break (End::Proven, Some(i)),
+                RoundOutcome::Bug(trace) => break (End::Bug(trace), Some(i)),
+                RoundOutcome::GaveUp(g) => gave_up[i] = Some(g),
+            }
+        };
+        let proof_size = proof.proof_size();
+        for (i, ((member, seat), g)) in members.iter().zip(&seats).zip(gave_up).enumerate() {
+            let stats = seat.stats();
+            self.stats.add_engine(&stats);
+            let status = match g {
+                Some(g) => {
+                    let entry = AttributedGiveUp::new(&member.config.name, g.clone());
+                    push_give_up_deduped(&mut self.give_ups, entry);
+                    EngineStatus::GaveUp(g)
+                }
+                None if winner == Some(i) => EngineStatus::Won,
+                None => EngineStatus::Lost,
+            };
             self.reports.push(EngineReport {
                 name: member.config.name.clone(),
                 spec: self.specs_done,
-                rounds: end.stats.rounds,
-                proof_size: end.proof_size,
-                status: end.status,
+                rounds: stats.rounds,
+                proof_size,
+                status,
             });
         }
-        self.stats.hoare_checks += phase.hoare_checks;
-        self.stats.proof_size = self.stats.proof_size.max(phase.proof_size);
-        self.harvest.extend(&phase.harvest);
-        match phase.end {
-            End::Proven | End::Bug(_) => self.winner = phase.winner,
-            End::GaveUp(_) | End::Interrupted => self.recycled.extend(&phase.harvest),
+        let (proven_hoare_checks, cert) = winner.map_or((None, None), |w| {
+            (seats[w].proven_hoare_checks, seats[w].cert.take())
+        });
+        self.stats.hoare_checks +=
+            proven_hoare_checks.unwrap_or_else(|| proof.stats().hoare_checks);
+        self.stats.proof_size = self.stats.proof_size.max(proof_size);
+        let harvest = export(pool, proof.assertions());
+        self.harvest.extend(&harvest);
+        match end {
+            End::Proven => {
+                self.winner = winner;
+                self.spec_certs.push(cert);
+            }
+            End::Bug(_) => self.winner = winner,
+            End::GaveUp(_) | End::Interrupted => self.recycled.extend(&harvest),
         }
-        if let End::Proven = phase.end {
-            self.spec_certs.push(phase.cert);
-        }
-        phase.end
+        end
     }
 
     /// Writes a round-boundary checkpoint if a path is configured; `proof`

@@ -2,14 +2,13 @@
 //!
 //! [`Engine`] packages the per-order state of the refinement loop (the
 //! preference order, commutativity oracle, persistent sets and the §7.2
-//! useless-state cache) and exposes one refinement round at a time. The
-//! driver ([`mod@crate::drive`]) advances engines round by round under one of
-//! three schedules; under [`crate::drive::Schedule::TakeTurns`] several
-//! engines share a *common* [`ProofAutomaton`] — assertions discovered
-//! under one preference order are program facts and immediately benefit
-//! every other order. This realizes the direction sketched in the paper's
-//! §8 Limitations ("dynamically adjust a choice of a preference order
-//! based on partial verification efforts").
+//! useless-state cache) and exposes one refinement round at a time.
+//! [`mod@crate::drive`] advances engines round by round; several engines
+//! take turns over a *common* [`ProofAutomaton`] — assertions
+//! discovered under one preference order are program facts and immediately
+//! benefit every other order. This realizes the direction sketched in the
+//! paper's §8 Limitations ("dynamically adjust a choice of a preference
+//! order based on partial verification efforts").
 
 use crate::certify::SpecCert;
 use crate::check::{
@@ -23,7 +22,7 @@ use program::commutativity::CommutativityOracle;
 use program::concurrent::{LetterId, Program, Spec};
 use reduction::order::PreferenceOrder;
 use reduction::persistent::PersistentSets;
-use smt::term::{TermId, TermPool};
+use smt::term::TermPool;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -40,9 +39,6 @@ pub enum RoundOutcome {
     /// This engine cannot continue (budget, solver incompleteness,
     /// deadline, injected fault, …). The give-up carries the category.
     GaveUp(GiveUp),
-    /// The round was aborted by the shared cancellation flag (another
-    /// portfolio member already concluded).
-    Cancelled,
 }
 
 /// A bounded memory of recently seen counterexample traces.
@@ -134,10 +130,6 @@ pub struct Engine {
     useless: UselessCache,
     check_config: CheckConfig,
     history: TraceHistory,
-    /// Assertions added to the proof by this engine's refinements since the
-    /// last [`Engine::take_new_assertions`] call — the shareable increment a
-    /// portfolio coordinator broadcasts to the other members.
-    pending_broadcast: Vec<TermId>,
 }
 
 impl Engine {
@@ -170,7 +162,6 @@ impl Engine {
                 ..CheckConfig::default()
             },
             history: TraceHistory::new(),
-            pending_broadcast: Vec::new(),
         }
     }
 
@@ -217,12 +208,6 @@ impl Engine {
         ))
     }
 
-    /// Drains the assertions this engine added to the proof since the last
-    /// call (newly discovered program facts, in discovery order).
-    pub fn take_new_assertions(&mut self) -> Vec<TermId> {
-        std::mem::take(&mut self.pending_broadcast)
-    }
-
     /// Runs one proof-check round against `proof` and, on an uncovered
     /// trace, refines `proof` (or reports the bug).
     pub fn round(
@@ -259,9 +244,6 @@ impl Engine {
                     self.check_config.max_visited
                 ),
             )),
-            CheckResult::Interrupted(g) if g.category == Category::Cancelled => {
-                RoundOutcome::Cancelled
-            }
             CheckResult::Interrupted(g) => RoundOutcome::GaveUp(g),
             CheckResult::Counterexample(trace) => {
                 if self.history.record(&trace) {
@@ -288,9 +270,7 @@ impl Engine {
                         }
                         TraceResult::Infeasible { chain } => {
                             for a in chain {
-                                if proof.add_assertion(a) {
-                                    self.pending_broadcast.push(a);
-                                }
+                                proof.add_assertion(a);
                             }
                             RoundOutcome::Refined
                         }

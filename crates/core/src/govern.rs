@@ -25,8 +25,6 @@ pub use smt::resource::{
     Category, FaultKind, FaultPlan, FaultSite, GiveUp, GovernorBuilder, ResourceGovernor,
 };
 
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Relative resource limits for one verification run. `Default` is fully
@@ -76,16 +74,6 @@ impl GovernorConfig {
     pub fn build(&self) -> ResourceGovernor {
         self.builder()
             .map_or_else(ResourceGovernor::unlimited, GovernorBuilder::build)
-    }
-
-    /// As [`GovernorConfig::build`], sharing `cancel` as the cooperative
-    /// cancellation token (always governed, even if otherwise unlimited,
-    /// so the token is actually observed).
-    pub fn build_with_cancel(&self, cancel: Arc<AtomicBool>) -> ResourceGovernor {
-        self.builder()
-            .unwrap_or_default()
-            .cancel_token(cancel)
-            .build()
     }
 
     /// The config after `attempt` escalation steps of the supervisor's
@@ -195,7 +183,6 @@ pub fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::Ordering;
 
     #[test]
     fn unlimited_config_builds_noop_governor() {
@@ -218,19 +205,6 @@ mod tests {
         assert_eq!(
             g.charge(Category::SimplexPivots).unwrap_err().category,
             Category::SimplexPivots
-        );
-    }
-
-    #[test]
-    fn cancel_token_is_always_governed() {
-        let token = Arc::new(AtomicBool::new(false));
-        let g = GovernorConfig::default().build_with_cancel(Arc::clone(&token));
-        assert!(g.is_governed());
-        assert!(g.charge(Category::DfsStates).is_ok());
-        token.store(true, Ordering::Relaxed);
-        assert_eq!(
-            g.charge(Category::DfsStates).unwrap_err().category,
-            Category::Cancelled
         );
     }
 

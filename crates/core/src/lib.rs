@@ -15,13 +15,13 @@
 //!   cross-round useless-state cache;
 //! * [`engine`] — one preference order's state, advanced one round at a
 //!   time;
-//! * [`mod@drive`] — the one refinement driver: three schedules
-//!   (take turns over a shared proof, lockstep threads, racing threads),
-//!   one retry ladder with proof recycling, crash-safe checkpoint/resume;
+//! * [`mod@drive`] — the one refinement loop: members take turns over a
+//!   shared proof on the calling thread, with one retry ladder, proof
+//!   recycling and crash-safe checkpoint/resume;
 //! * [`mod@verify`] — configuration, verdicts, statistics and the plain
 //!   loop ([`verify()`], one member taking every turn);
 //! * [`govern`] — resource governance (deadlines, step budgets,
-//!   cancellation, deterministic fault injection);
+//!   deterministic fault injection);
 //! * [`portfolio`] — the sequential multi-preference-order portfolio of §8;
 //! * [`snapshot`] — the versioned on-disk checkpoint format.
 //!
@@ -55,9 +55,7 @@ pub mod verify;
 pub use certify::{
     check_certificate, CertMutation, CertSpec, Certificate, CertifyMode, CertifyReport, SpecCert,
 };
-pub use drive::{
-    drive, AttemptReport, Driven, EngineReport, EngineStatus, RetryPolicy, Run, Schedule,
-};
+pub use drive::{drive, AttemptReport, Driven, EngineReport, EngineStatus, RetryPolicy, Run};
 pub use govern::{
     push_give_up_deduped, AttributedGiveUp, Category, FaultKind, FaultPlan, GiveUp, GovernorConfig,
     ResourceGovernor,

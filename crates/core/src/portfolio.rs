@@ -8,8 +8,9 @@
 //! here ([`portfolio_verify`]) runs [`verify`] once per order, records
 //! every order's independent outcome (Figure 8 needs them all) and reports
 //! the *winner* (earliest conclusive verdict), with the parallel-model CPU
-//! time being the winner's own time. Shared-proof and multi-threaded
-//! portfolios are schedules of the one driver, [`mod@crate::drive`].
+//! time being the winner's own time. The shared-proof portfolio, where
+//! the orders take turns over one proof, is a multi-member run of
+//! [`mod@crate::drive`].
 
 use crate::verify::{verify, Outcome, Verdict, VerifierConfig};
 use program::concurrent::Program;

@@ -3,7 +3,7 @@
 
 use automata::bitset::BitSet;
 use automata::dfa::DfaBuilder;
-use gemcutter::drive::{drive, EngineStatus, Run, Schedule};
+use gemcutter::drive::{drive, EngineStatus, Run};
 use gemcutter::portfolio::{default_portfolio, portfolio_verify};
 use gemcutter::verify::{verify, OrderSpec, Verdict, VerifierConfig};
 use program::concurrent::Program;
@@ -123,11 +123,7 @@ fn racing_and_adaptive_portfolios_agree() {
         let race = portfolio_verify(&mut pool, &p, &default_portfolio(), true);
         let mut pool2 = TermPool::new();
         let p2 = two_inc(&mut pool2, bound);
-        let shared = drive(
-            &mut pool2,
-            &p2,
-            &Run::new(Schedule::TakeTurns, default_portfolio()),
-        );
+        let shared = drive(&mut pool2, &p2, &Run::new(default_portfolio()));
         let (adaptive, winner) = (shared.outcome, shared.winner);
         assert_eq!(
             race.outcome.verdict.is_correct(),
@@ -153,7 +149,7 @@ fn adaptive_respects_round_budget() {
     for (i, member) in members.iter_mut().enumerate() {
         member.max_rounds = usize::from(i == 0);
     }
-    let shared = drive(&mut pool, &p, &Run::new(Schedule::TakeTurns, members));
+    let shared = drive(&mut pool, &p, &Run::new(members));
     let (outcome, winner) = (shared.outcome, shared.winner);
     // One shared round cannot finish this program.
     assert!(matches!(outcome.verdict, Verdict::GaveUp(_)));
@@ -162,59 +158,52 @@ fn adaptive_respects_round_budget() {
 }
 
 #[test]
-fn parallel_portfolio_agrees_with_sequential() {
-    for deterministic in [false, true] {
-        for bound in [2i128, 1] {
-            let mut pool = TermPool::new();
-            let p = two_inc(&mut pool, bound);
-            let schedule = if deterministic {
-                Schedule::Lockstep
-            } else {
-                Schedule::Race
-            };
-            let result = drive(&mut pool, &p, &Run::new(schedule, default_portfolio()));
-            if bound == 2 {
-                assert!(
-                    result.outcome.verdict.is_correct(),
-                    "det={deterministic}: {:?}",
-                    result.outcome.verdict
-                );
-            } else {
-                assert!(
-                    matches!(result.outcome.verdict, Verdict::Incorrect { .. }),
-                    "det={deterministic}: {:?}",
-                    result.outcome.verdict
-                );
-            }
-            assert!(result.winner.is_some(), "conclusive run names a winner");
-            assert_eq!(result.engines.len(), default_portfolio().len());
-            let wins = result
-                .engines
-                .iter()
-                .filter(|r| r.status == EngineStatus::Won)
-                .count();
-            assert_eq!(wins, 1, "exactly one winner per spec phase");
-            assert!(result.outcome.stats.rounds > 0);
+fn take_turns_portfolio_agrees_with_sequential() {
+    for bound in [2i128, 1] {
+        let mut pool = TermPool::new();
+        let p = two_inc(&mut pool, bound);
+        let result = drive(&mut pool, &p, &Run::new(default_portfolio()));
+        if bound == 2 {
+            assert!(
+                result.outcome.verdict.is_correct(),
+                "{:?}",
+                result.outcome.verdict
+            );
+        } else {
+            assert!(
+                matches!(result.outcome.verdict, Verdict::Incorrect { .. }),
+                "{:?}",
+                result.outcome.verdict
+            );
         }
+        assert!(result.winner.is_some(), "conclusive run names a winner");
+        assert_eq!(result.engines.len(), default_portfolio().len());
+        let wins = result
+            .engines
+            .iter()
+            .filter(|r| r.status == EngineStatus::Won)
+            .count();
+        assert_eq!(wins, 1, "exactly one winner per spec phase");
+        assert!(result.outcome.stats.rounds > 0);
     }
 }
 
 #[test]
-fn parallel_zero_wall_clock_budget_degrades_gracefully() {
+fn take_turns_zero_wall_clock_budget_degrades_gracefully() {
     let mut pool = TermPool::new();
     let p = two_inc(&mut pool, 2);
     let mut members = default_portfolio();
     for member in &mut members {
         member.govern.deadline = Some(std::time::Duration::ZERO);
     }
-    let result = drive(&mut pool, &p, &Run::new(Schedule::Race, members));
-    // Every engine runs out of budget before its first round; the run
-    // still terminates cleanly with a give-up instead of hanging/panicking.
+    let result = drive(&mut pool, &p, &Run::new(members));
+    // Every engine runs out of budget in its first round; the run still
+    // terminates cleanly with a give-up instead of hanging/panicking.
     assert!(matches!(result.outcome.verdict, Verdict::GaveUp(_)));
     assert!(result.winner.is_none());
     for report in &result.engines {
         assert!(
-            matches!(report.status, EngineStatus::GaveUp(_) | EngineStatus::Lost),
+            matches!(report.status, EngineStatus::GaveUp(_)),
             "{:?}",
             report.status
         );
@@ -222,40 +211,42 @@ fn parallel_zero_wall_clock_budget_degrades_gracefully() {
 }
 
 #[test]
-fn parallel_round_budget_degrades_gracefully() {
-    let mut pool = TermPool::new();
-    let p = two_inc(&mut pool, 2);
-    let mut members = default_portfolio();
-    for member in &mut members {
-        member.max_rounds = 1;
-    }
-    let result = drive(&mut pool, &p, &Run::new(Schedule::Lockstep, members));
-    match &result.outcome.verdict {
+fn take_turns_round_budget_degrades_gracefully() {
+    let capped = |max_rounds: usize| {
+        let mut pool = TermPool::new();
+        let p = two_inc(&mut pool, 2);
+        let mut members = default_portfolio();
+        for member in &mut members {
+            member.max_rounds = max_rounds;
+        }
+        let result = drive(&mut pool, &p, &Run::new(members));
+        for report in &result.engines {
+            assert!(
+                report.rounds <= max_rounds,
+                "round budget respected: {report:?}"
+            );
+        }
+        result
+    };
+    // One round per member: the members still share one proof, so their
+    // rounds together conclude.
+    let one = capped(1);
+    assert!(
+        one.outcome.verdict.is_correct(),
+        "{:?}",
+        one.outcome.verdict
+    );
+    assert!(one.outcome.stats.rounds <= default_portfolio().len());
+    // No rounds at all: every member gives up on the round budget.
+    let none = capped(0);
+    match &none.outcome.verdict {
         Verdict::GaveUp(g) => assert_eq!(g.category, gemcutter::Category::Rounds, "{g}"),
         other => panic!("expected round-budget give-up, got {other:?}"),
     }
-    for report in &result.engines {
-        assert!(report.rounds <= 1, "round budget respected: {report:?}");
-    }
-}
-
-#[test]
-fn parallel_deterministic_runs_are_reproducible() {
-    let reference: Vec<_> = (0..3)
-        .map(|_| {
-            let mut pool = TermPool::new();
-            let p = two_inc(&mut pool, 2);
-            let r = drive(
-                &mut pool,
-                &p,
-                &Run::new(Schedule::Lockstep, default_portfolio()),
-            );
-            (r.outcome.verdict.is_correct(), r.winner, r.engines)
-        })
-        .collect();
-    assert_eq!(reference[0], reference[1]);
-    assert_eq!(reference[0], reference[2]);
-    assert!(reference[0].0, "two_inc(2) is safe");
+    assert!(none
+        .engines
+        .iter()
+        .all(|r| matches!(r.status, EngineStatus::GaveUp(_))));
 }
 
 #[test]

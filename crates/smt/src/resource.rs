@@ -1,15 +1,15 @@
 //! Run-scoped resource governance: wall-clock deadlines, per-category step
-//! budgets, cooperative cancellation, and deterministic fault injection.
+//! budgets, and deterministic fault injection.
 //!
 //! A [`ResourceGovernor`] is a cheap, shareable handle (an `Arc` clone)
 //! threaded through every long-running loop of the solver stack and the
 //! proof check. Each loop iteration calls [`ResourceGovernor::charge`] with
-//! its [`Category`]; the first exhausted budget, passed deadline, raised
-//! cancellation flag or matching injected fault *trips* the governor, and
-//! every subsequent charge fails fast — unwinding recursive searches
-//! mid-query without any extra plumbing. The recorded [`GiveUp`] explains
-//! the first cause, so an `Unknown` verdict bubbling out of the solver can
-//! be attributed precisely at the top of the stack.
+//! its [`Category`]; the first exhausted budget, passed deadline or
+//! matching injected fault *trips* the governor, and every subsequent
+//! charge fails fast — unwinding recursive searches mid-query without any
+//! extra plumbing. The recorded [`GiveUp`] explains the first cause, so an
+//! `Unknown` verdict bubbling out of the solver can be attributed precisely
+//! at the top of the stack.
 //!
 //! Soundness contract: a failed charge must only ever make a caller *more*
 //! conservative (`Unknown`, "dependent", "cannot refute"). The governor
@@ -45,7 +45,8 @@ pub enum Category {
     Rounds,
     /// Wall-clock deadline exceeded.
     Deadline,
-    /// Cooperative cancellation (e.g. another portfolio member concluded).
+    /// The run was stopped: an interrupt, a refused resume, or a tripped
+    /// governor whose cause was not recorded.
     Cancelled,
     /// The theory solver returned `Unknown` outside governor control
     /// (legacy per-query budget or `i128` overflow).
@@ -268,7 +269,6 @@ struct Inner {
     counters: [AtomicU64; NCAT],
     /// Global charge counter driving the strided deadline poll.
     ticks: AtomicU64,
-    cancel: Arc<AtomicBool>,
     tripped: AtomicBool,
     trip_cell: OnceLock<GiveUp>,
     /// Injection sites, indexed by category.
@@ -276,9 +276,9 @@ struct Inner {
 }
 
 /// The shareable governor handle. `Clone` is an `Arc` clone: all clones
-/// share counters, the trip state and the cancellation flag. The
-/// [`ResourceGovernor::unlimited`] handle has no state at all and makes
-/// every charge a no-op, so ungoverned entry points stay allocation-free.
+/// share counters and the trip state. The [`ResourceGovernor::unlimited`]
+/// handle has no state at all and makes every charge a no-op, so
+/// ungoverned entry points stay allocation-free.
 #[derive(Clone, Debug, Default)]
 pub struct ResourceGovernor {
     inner: Option<Arc<Inner>>,
@@ -335,19 +335,6 @@ impl ResourceGovernor {
             .is_some_and(|inner| inner.tripped.load(Ordering::Relaxed))
     }
 
-    /// Raises the cooperative cancellation flag shared by all clones (and
-    /// any governor built from the same token).
-    pub fn cancel(&self) {
-        if let Some(inner) = &self.inner {
-            inner.cancel.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// The shared cancellation token, if governed.
-    pub fn cancel_token(&self) -> Option<Arc<AtomicBool>> {
-        self.inner.as_ref().map(|inner| Arc::clone(&inner.cancel))
-    }
-
     /// Total charges recorded for `category`.
     pub fn count(&self, category: Category) -> u64 {
         self.inner.as_ref().map_or(0, |inner| {
@@ -360,20 +347,14 @@ impl ResourceGovernor {
         self.inner.as_ref().and_then(|inner| inner.deadline)
     }
 
-    /// Polls the deadline and cancellation flag immediately (no stride, no
-    /// counting) — for coarse outer loops that want tight latency.
+    /// Polls the deadline immediately (no stride, no counting) — for coarse
+    /// outer loops that want tight latency.
     pub fn poll(&self) -> Result<(), GiveUp> {
         let Some(inner) = &self.inner else {
             return Ok(());
         };
         if inner.tripped.load(Ordering::Relaxed) {
             return Err(inner.current_give_up());
-        }
-        if inner.cancel.load(Ordering::Relaxed) {
-            return Err(inner.trip(GiveUp::new(
-                Category::Cancelled,
-                "cancellation requested (another engine concluded or the run was stopped)",
-            )));
         }
         if let Some(deadline) = inner.deadline {
             if Instant::now() >= deadline {
@@ -419,12 +400,6 @@ impl Inner {
                 format!("{category} budget exhausted after {n} steps"),
             )));
         }
-        if self.cancel.load(Ordering::Relaxed) {
-            return Err(self.trip(GiveUp::new(
-                Category::Cancelled,
-                "cancellation requested (another engine concluded or the run was stopped)",
-            )));
-        }
         if let Some(deadline) = self.deadline {
             let t = self.ticks.fetch_add(1, Ordering::Relaxed);
             if t.is_multiple_of(DEADLINE_POLL_STRIDE) && Instant::now() >= deadline {
@@ -463,7 +438,6 @@ impl Inner {
 pub struct GovernorBuilder {
     deadline: Option<Duration>,
     budgets: Vec<(Category, u64)>,
-    cancel: Option<Arc<AtomicBool>>,
     plan: FaultPlan,
 }
 
@@ -483,12 +457,6 @@ impl GovernorBuilder {
     /// Caps `category` at `budget` total charges across the run.
     pub fn budget(mut self, category: Category, budget: u64) -> GovernorBuilder {
         self.budgets.push((category, budget));
-        self
-    }
-
-    /// Shares an external cancellation token (the portfolio stop flag).
-    pub fn cancel_token(mut self, token: Arc<AtomicBool>) -> GovernorBuilder {
-        self.cancel = Some(token);
         self
     }
 
@@ -514,7 +482,6 @@ impl GovernorBuilder {
                 budgets,
                 counters: Default::default(),
                 ticks: AtomicU64::new(1),
-                cancel: self.cancel.unwrap_or_default(),
                 tripped: AtomicBool::new(false),
                 trip_cell: OnceLock::new(),
                 faults,
@@ -563,20 +530,6 @@ mod tests {
         let first = g.charge(Category::BranchNodes).unwrap_err();
         let later = g.trip(GiveUp::new(Category::Deadline, "late"));
         assert_eq!(later, first, "an earlier trip is never overwritten");
-    }
-
-    #[test]
-    fn cancellation_is_shared() {
-        let token = Arc::new(AtomicBool::new(false));
-        let g = ResourceGovernor::builder()
-            .cancel_token(Arc::clone(&token))
-            .build();
-        let clone = g.clone();
-        assert!(clone.charge(Category::DfsStates).is_ok());
-        token.store(true, Ordering::Relaxed);
-        let e = clone.charge(Category::DfsStates).unwrap_err();
-        assert_eq!(e.category, Category::Cancelled);
-        assert!(g.is_tripped(), "clones share the trip state");
     }
 
     #[test]

@@ -13,9 +13,9 @@ use crate::resource::{Category, ResourceGovernor};
 use std::collections::HashMap;
 
 /// Why the tableau abandoned a check: `i128` overflow, or a tripped
-/// resource governor (pivot budget, deadline, cancellation, injected
-/// fault). Both degrade to `Unknown`; the governor's `GiveUp` record
-/// carries the precise cause for reporting.
+/// resource governor (pivot budget, deadline, injected fault). Both
+/// degrade to `Unknown`; the governor's `GiveUp` record carries the
+/// precise cause for reporting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Halt {
     Overflow,

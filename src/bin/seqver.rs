@@ -4,7 +4,6 @@
 //! seqver verify <file.cpl> [--order seq|lockstep|rand:<seed>|prio:<p0,p1,...>] [--config NAME]
 //!                          [--no-proof-sensitivity] [--no-qcache] [--solver dpll|cdcl]
 //!                          [--max-rounds N] [--portfolio]
-//!                          [--parallel] [--deterministic]
 //!                          [--timeout DUR] [--steps CAT=N] [--faults SPEC]
 //! seqver info   <file.cpl>
 //! seqver reduce <file.cpl> [--order ...] [--dot]
@@ -13,7 +12,7 @@
 use seqver::automata::dot::to_dot;
 use seqver::cpl;
 use seqver::gemcutter::certify::{check_certificate, CertifyMode};
-use seqver::gemcutter::drive::{drive, RetryPolicy, Run, Schedule};
+use seqver::gemcutter::drive::{drive, RetryPolicy, Run};
 use seqver::gemcutter::govern::{Category, FaultPlan, GovernorConfig};
 use seqver::gemcutter::portfolio::{default_portfolio, portfolio_verify};
 use seqver::gemcutter::snapshot::fnv1a;
@@ -50,7 +49,6 @@ const USAGE: &str = "usage:
   seqver verify <file.cpl> [--order seq|lockstep|rand:<seed>] [--config gemcutter|automizer|sleep|persistent]
                            [--no-proof-sensitivity] [--no-qcache] [--solver dpll|cdcl]
                            [--max-rounds N] [--portfolio]
-                           [--parallel] [--deterministic]
                            [--timeout DUR] [--steps CAT=N] [--faults SPEC]
                            [--retries N] [--escalate Fx]
                            [--checkpoint PATH] [--resume PATH]
@@ -72,10 +70,6 @@ const USAGE: &str = "usage:
                    literals, 1UIP learning, incremental simplex) or dpll
                    (the legacy search, kept as the ablation baseline)
   --portfolio      race the five §8 preference orders sequentially
-  --parallel       multi-threaded shared-proof portfolio (one engine per
-                   preference order; assertions are exchanged between them)
-  --deterministic  with --parallel: lockstep rounds with engine-index-ordered
-                   assertion merges, reproducible across runs
   --timeout DUR    wall-clock deadline polled inside solver loops and the
                    proof-check DFS (e.g. 500ms, 1s, 2m); on expiry the run
                    ends with verdict GAVE-UP, exit code 3
@@ -86,7 +80,7 @@ const USAGE: &str = "usage:
                    unknown|timeout|panic, e.g. simplex-pivots:100:unknown
   --retries N      restart supervision: on GAVE-UP, retry up to N times with
                    escalated limits, recycling the partial proof of each
-                   failed attempt into the next (single runs and --parallel)
+                   failed attempt into the next (single-engine runs)
   --escalate Fx    escalation factor per retry (default 2x): the --timeout
                    deadline and --steps budgets stretch by F each attempt
   --checkpoint P   write a crash-safe snapshot to P at every round boundary
@@ -206,8 +200,6 @@ struct Flags {
     solver: SolverKind,
     max_rounds: Option<usize>,
     portfolio: bool,
-    parallel: bool,
-    deterministic: bool,
     dot: bool,
     govern: GovernorConfig,
     retries: u32,
@@ -266,8 +258,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         solver: SolverKind::default(),
         max_rounds: None,
         portfolio: false,
-        parallel: false,
-        deterministic: false,
         dot: false,
         govern: GovernorConfig::default(),
         retries: 0,
@@ -298,8 +288,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 flags.max_rounds = Some(v.parse().map_err(|_| "invalid --max-rounds")?);
             }
             "--portfolio" => flags.portfolio = true,
-            "--parallel" => flags.parallel = true,
-            "--deterministic" => flags.deterministic = true,
             "--dot" => flags.dot = true,
             "--timeout" => {
                 let v = it.next().ok_or("--timeout needs a value")?;
@@ -440,21 +428,15 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
     let flags = parse_flags(args)?;
     let mut pool = TermPool::new();
     let program = load(&flags.file, &mut pool)?;
-    if flags.deterministic && !flags.parallel {
-        return Err("--deterministic requires --parallel".to_owned());
-    }
     let supervised = flags.retries > 0
         || flags.escalate.is_some()
         || flags.checkpoint.is_some()
         || flags.resume.is_some();
-    if (flags.checkpoint.is_some() || flags.resume.is_some()) && (flags.parallel || flags.portfolio)
-    {
-        return Err(
-            "--checkpoint/--resume need a single-engine run (no --portfolio/--parallel)".to_owned(),
-        );
-    }
     if supervised && flags.portfolio {
-        return Err("--retries is not supported with --portfolio (use --parallel)".to_owned());
+        return Err(
+            "--retries/--escalate/--checkpoint/--resume need a single-engine run (no --portfolio)"
+                .to_owned(),
+        );
     }
     let mut driven = None;
     let (verdict, stats, config_name, certificate) = if flags.portfolio {
@@ -484,14 +466,8 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
             }
             None => None,
         };
-        let (schedule, members) = match (flags.parallel, flags.deterministic) {
-            (false, _) => (Schedule::TakeTurns, vec![build_config(&flags)?]),
-            (true, true) => (Schedule::Lockstep, governed_portfolio(&flags)),
-            (true, false) => (Schedule::Race, governed_portfolio(&flags)),
-        };
         let run = Run {
-            members,
-            schedule,
+            members: vec![build_config(&flags)?],
             retry,
             resume,
             checkpoint: flags.checkpoint.clone(),
@@ -499,11 +475,7 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
             ..Run::default()
         };
         let result = drive(&mut pool, &program, &run);
-        let name = match (flags.parallel, &result.winner) {
-            (false, _) => run.members[0].name.clone(),
-            (true, Some(winner)) => winner.clone(),
-            (true, None) => "parallel-portfolio".to_owned(),
-        };
+        let name = run.members[0].name.clone();
         let outcome = result.outcome.clone();
         driven = supervised.then_some(result);
         (outcome.verdict, outcome.stats, name, outcome.certificate)

@@ -1,12 +1,11 @@
-//! Every schedule of the driver honours its members' configuration: the
+//! Every shape of `drive` run honours its members' configuration: the
 //! solver kind, the query-cache switch and the governor (step budgets and
 //! fault plans, including `Rounds` charged once per round). Each check
-//! runs a single-member take-turns run with a retry ladder, lockstep,
-//! race, and a two-member take-turns run.
+//! runs a single-member run with a retry ladder and a two-member run.
 
 use std::path::Path;
 
-use seqver::gemcutter::drive::{drive, Driven, RetryPolicy, Run, Schedule};
+use seqver::gemcutter::drive::{drive, Driven, RetryPolicy, Run};
 use seqver::gemcutter::govern::{Category, FaultPlan};
 use seqver::gemcutter::verify::{verify, OrderSpec, VerifierConfig};
 use seqver::program::concurrent::Program;
@@ -20,7 +19,7 @@ fn counter() -> (TermPool, Program) {
     (pool, p)
 }
 
-/// The four runs, each built from `config`.
+/// The two runs, each built from `config`.
 fn runs(config: &VerifierConfig) -> Vec<(&'static str, Run)> {
     let second = VerifierConfig {
         name: format!("{}-lockstep", config.name),
@@ -36,13 +35,8 @@ fn runs(config: &VerifierConfig) -> Vec<(&'static str, Run)> {
             Run::single(config).retrying(retry),
         ),
         (
-            "lockstep",
-            Run::new(Schedule::Lockstep, vec![config.clone()]),
-        ),
-        ("race", Run::new(Schedule::Race, vec![config.clone()])),
-        (
             "take-turns, two members",
-            Run::new(Schedule::TakeTurns, vec![config.clone(), second]),
+            Run::new(vec![config.clone(), second]),
         ),
     ]
 }

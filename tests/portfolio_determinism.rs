@@ -1,14 +1,13 @@
-//! Determinism of the parallel portfolio's lockstep mode: with
-//! [`Schedule::Lockstep`], [`drive`] must be a pure function of
-//! the program and the engine list — verdict, winner, per-engine round
-//! counts and proof sizes identical across repeated runs, regardless of
-//! thread scheduling. The determinism contract extends to certificates:
-//! the winning certificate must clear the independent checker and its
-//! serialized text must be byte-identical across runs.
+//! Determinism of the shared-proof portfolio: with several members taking
+//! turns, [`drive`] must be a pure function of the program and the engine
+//! list — verdict, winner, per-engine round counts and proof sizes
+//! identical across repeated runs. The determinism contract extends to
+//! certificates: the winning certificate must clear the independent
+//! checker and its serialized text must be byte-identical across runs.
 
 use seqver::bench_suite;
 use seqver::gemcutter::certify::{check_certificate, CertifyMode};
-use seqver::gemcutter::drive::{drive, Run, Schedule};
+use seqver::gemcutter::drive::{drive, Run};
 use seqver::gemcutter::verify::{verify, Verdict, VerifierConfig};
 use seqver::smt::TermPool;
 
@@ -23,20 +22,20 @@ fn engines() -> Vec<VerifierConfig> {
     ]
 }
 
-/// Runs the deterministic parallel portfolio 5 times on `name` and
-/// asserts every run reproduces the first one exactly.
+/// Runs the four-engine portfolio 5 times on `name` and asserts every run
+/// reproduces the first one exactly.
 fn assert_reproducible(name: &str) {
     let bench = bench_suite::all()
         .into_iter()
         .find(|b| b.name == name)
         .unwrap_or_else(|| panic!("benchmark {name} not in the suite"));
-    let lockstep = Run::new(Schedule::Lockstep, engines());
+    let portfolio = Run::new(engines());
 
     let mut reference = None;
     for run in 0..5 {
         let mut pool = TermPool::new();
         let p = bench.compile(&mut pool);
-        let result = drive(&mut pool, &p, &lockstep);
+        let result = drive(&mut pool, &p, &portfolio);
         let fingerprint = (
             result.outcome.verdict.clone(),
             result.winner.clone(),
@@ -50,36 +49,33 @@ fn assert_reproducible(name: &str) {
 }
 
 #[test]
-fn deterministic_parallel_is_reproducible_on_peterson() {
+fn portfolio_is_reproducible_on_peterson() {
     assert_reproducible("peterson");
 }
 
 #[test]
-fn deterministic_parallel_is_reproducible_on_dekker() {
+fn portfolio_is_reproducible_on_dekker() {
     assert_reproducible("dekker");
 }
 
-/// In deterministic mode, the winning certificate is part of the
-/// reproducibility contract: it must exist, clear the independent
-/// checker, and serialize byte-identically across 5 runs.
+/// The winning certificate is part of the reproducibility contract: it
+/// must exist, clear the independent checker, and serialize
+/// byte-identically across 5 runs.
 #[test]
-fn deterministic_parallel_certificates_check_and_are_stable() {
+fn portfolio_certificates_check_and_are_stable() {
     let bench = bench_suite::all()
         .into_iter()
         .find(|b| b.name == "peterson")
         .expect("peterson in the suite");
-    let lockstep = Run::new(
-        Schedule::Lockstep,
-        vec![
-            VerifierConfig::gemcutter_seq(),
-            VerifierConfig::gemcutter_lockstep(),
-        ],
-    );
+    let portfolio = Run::new(vec![
+        VerifierConfig::gemcutter_seq(),
+        VerifierConfig::gemcutter_lockstep(),
+    ]);
     let mut reference: Option<String> = None;
     for run in 0..5 {
         let mut pool = TermPool::new();
         let p = bench.compile(&mut pool);
-        let result = drive(&mut pool, &p, &lockstep);
+        let result = drive(&mut pool, &p, &portfolio);
         assert_eq!(result.outcome.verdict, Verdict::Correct, "run {run}");
         let cert = result
             .outcome

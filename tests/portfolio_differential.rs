@@ -1,17 +1,16 @@
-//! Differential testing of the driver's schedules on randomly generated
-//! concurrent programs: the plain single-order loop ([`verify`]), the
-//! single-threaded shared-proof portfolio ([`Schedule::TakeTurns`]) and the
-//! multi-threaded portfolio ([`Schedule::Lockstep`]) must never contradict
-//! each other's conclusive verdicts, and every reported bug trace must
-//! replay as feasible under exact trace analysis. On fixed corpus
-//! programs, every single-member schedule must also report the same run
-//! counters.
+//! Differential testing of `drive` on randomly generated concurrent
+//! programs: the plain single-order loop ([`verify`]) and the shared-proof
+//! portfolio (several members taking turns in [`drive`]) must never
+//! contradict each other's conclusive verdicts, and every reported bug
+//! trace must replay as feasible under exact trace analysis. On fixed
+//! corpus programs, a retrying single-member run must also report the same
+//! run counters as [`verify`].
 
 use proptest::prelude::*;
 use seqver::automata::bitset::BitSet;
 use seqver::automata::dfa::DfaBuilder;
 use seqver::bench_suite;
-use seqver::gemcutter::drive::{drive, RetryPolicy, Run, Schedule};
+use seqver::gemcutter::drive::{drive, RetryPolicy, Run};
 use seqver::gemcutter::interpolate::{
     analyze_trace_with_mode, InterpolationMode, InterpolationStats, TraceResult,
 };
@@ -150,10 +149,8 @@ proptest! {
             let outcome = verify(&mut pool, &p, config);
             verdicts.push((format!("verify/{}", config.name), outcome.verdict));
         }
-        let shared = drive(&mut pool, &p, &Run::new(Schedule::TakeTurns, configs.clone()));
+        let shared = drive(&mut pool, &p, &Run::new(configs.clone()));
         verdicts.push(("take-turns".to_owned(), shared.outcome.verdict));
-        let parallel = drive(&mut pool, &p, &Run::new(Schedule::Lockstep, configs.clone()));
-        verdicts.push(("lockstep".to_owned(), parallel.outcome.verdict));
 
         // No two conclusive verdicts may contradict.
         let correct: Vec<&str> = verdicts
@@ -223,7 +220,7 @@ proptest! {
     }
 }
 
-/// The counters every schedule folds from its engines, minus wall time.
+/// The counters every `drive` run folds from its engines, minus wall time.
 fn engine_counters(stats: &RunStats) -> [(&'static str, u64); 13] {
     [
         ("rounds", stats.rounds as u64),
@@ -248,11 +245,11 @@ fn engine_counters(stats: &RunStats) -> [(&'static str, u64); 13] {
     ]
 }
 
-/// `verify` and every single-member schedule — take turns with a retry
-/// ladder, lockstep and race — run the same engine rounds, so they must
-/// report the same counters: none may drop one, none may count the Hoare
-/// checks of the certificate-recording walk, and all attribute the query
-/// cache by the same rule. `bluetooth-bug-2` has two specs.
+/// `verify` and a single-member run with a retry ladder run the same
+/// engine rounds, so they must report the same counters: neither may drop
+/// one, neither may count the Hoare checks of the certificate-recording
+/// walk, and both attribute the query cache by the same rule.
+/// `bluetooth-bug-2` has two specs.
 #[test]
 fn single_engine_drivers_report_the_same_counters() {
     let config = VerifierConfig::gemcutter_seq();
@@ -274,19 +271,7 @@ fn single_engine_drivers_report_the_same_counters() {
         };
         let plain = run(&|pool, p| verify(pool, p, &config));
         let with_retry = Run::single(&config).retrying(RetryPolicy::with_retries(2));
-        let lockstep = Run::new(Schedule::Lockstep, vec![config.clone()]);
-        let race = Run::new(Schedule::Race, vec![config.clone()]);
-        let drivers = [
-            (
-                "retrying",
-                run(&|pool, p| drive(pool, p, &with_retry).outcome),
-            ),
-            (
-                "lockstep",
-                run(&|pool, p| drive(pool, p, &lockstep).outcome),
-            ),
-            ("race", run(&|pool, p| drive(pool, p, &race).outcome)),
-        ];
+        let retried = run(&|pool, p| drive(pool, p, &with_retry).outcome);
         assert_eq!(
             plain.verdict.is_correct(),
             !name.contains("bug"),
@@ -294,13 +279,11 @@ fn single_engine_drivers_report_the_same_counters() {
         );
         assert!(plain.stats.useless_probes > 0 && plain.stats.useless_len > 0);
         assert!(plain.stats.hoare_checks > 0);
-        for (driver, outcome) in &drivers {
-            assert_eq!(outcome.verdict, plain.verdict, "{name}: {driver} verdict");
-            assert_eq!(
-                engine_counters(&outcome.stats),
-                engine_counters(&plain.stats),
-                "{name}: {driver} counters differ from verify"
-            );
-        }
+        assert_eq!(retried.verdict, plain.verdict, "{name}: verdict");
+        assert_eq!(
+            engine_counters(&retried.stats),
+            engine_counters(&plain.stats),
+            "{name}: counters differ from verify"
+        );
     }
 }
