@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 
-/// Index of a state inside a [`Dfa`] or [`crate::Nfa`].
+/// Index of a state inside a [`Dfa`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StateId(pub u32);
 
@@ -107,19 +107,6 @@ impl<L: Copy + Eq + Ord + Hash> Dfa<L> {
             q = self.step(q, a)?;
         }
         Some(q)
-    }
-
-    /// Runs the automaton on the longest prefix of `word` for which a run
-    /// exists, returning the reached state (the paper's `δ*₊`).
-    pub fn run_longest_prefix(&self, word: impl IntoIterator<Item = L>) -> StateId {
-        let mut q = self.initial;
-        for a in word {
-            match self.step(q, a) {
-                Some(next) => q = next,
-                None => break,
-            }
-        }
-        q
     }
 
     /// Language membership.
@@ -332,13 +319,6 @@ mod tests {
         assert!(!d.accepts("a".chars()));
         assert!(!d.accepts("ba".chars()));
         assert!(!d.accepts("abz".chars()));
-    }
-
-    #[test]
-    fn run_longest_prefix_stops_at_missing_edge() {
-        let d = ab_star();
-        assert_eq!(d.run_longest_prefix("aX".chars()), StateId(1));
-        assert_eq!(d.run_longest_prefix("abab".chars()), StateId(0));
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Bounded language exploration: word enumeration, shortest accepted word,
-//! and bounded language equality.
+//! Bounded language exploration: word enumeration and bounded language
+//! equality.
 //!
 //! The reduction soundness/minimality property tests (§4 of the paper)
 //! compare *languages up to a length bound*; these helpers implement that
 //! comparison without constructing product automata.
 
 use crate::dfa::{Dfa, StateId};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::hash::Hash;
 
 /// All words over `alphabet` of length at most `max_len`, in length-then-lex
@@ -59,31 +59,6 @@ pub fn accepted_words<L: Copy + Eq + Ord + Hash>(dfa: &Dfa<L>, max_len: usize) -
     out
 }
 
-/// A shortest accepted word, or `None` if the language is empty.
-///
-/// Breadth-first, so the result is length-minimal; among equal-length
-/// words, the lexicographically smallest (by letter order) is returned
-/// because edges are explored in letter order.
-pub fn shortest_accepted_word<L: Copy + Eq + Ord + Hash>(dfa: &Dfa<L>) -> Option<Vec<L>> {
-    let mut visited: HashSet<StateId> = HashSet::new();
-    let mut queue: VecDeque<(StateId, Vec<L>)> = VecDeque::new();
-    visited.insert(dfa.initial());
-    queue.push_back((dfa.initial(), Vec::new()));
-    while let Some((q, w)) = queue.pop_front() {
-        if dfa.is_accepting(q) {
-            return Some(w);
-        }
-        for (l, t) in dfa.edges(q) {
-            if visited.insert(t) {
-                let mut v = w.clone();
-                v.push(l);
-                queue.push_back((t, v));
-            }
-        }
-    }
-    None
-}
-
 /// `true` iff the two automata accept exactly the same words of length at
 /// most `max_len`.
 pub fn bounded_equal<L: Copy + Eq + Ord + Hash>(a: &Dfa<L>, b: &Dfa<L>, max_len: usize) -> bool {
@@ -92,16 +67,6 @@ pub fn bounded_equal<L: Copy + Eq + Ord + Hash>(a: &Dfa<L>, b: &Dfa<L>, max_len:
     wa.sort();
     wb.sort();
     wa == wb
-}
-
-/// Counts accepted words of each length `0..=max_len` — the growth profile
-/// used when comparing reduction sizes in the experiments.
-pub fn counting_profile<L: Copy + Eq + Ord + Hash>(dfa: &Dfa<L>, max_len: usize) -> Vec<usize> {
-    let mut counts = vec![0usize; max_len + 1];
-    for w in accepted_words(dfa, max_len) {
-        counts[w.len()] += 1;
-    }
-    counts
 }
 
 #[cfg(test)]
@@ -132,16 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn shortest_word() {
-        assert_eq!(shortest_accepted_word(&a_star_b()), Some(vec!['b']));
-        let mut bld = DfaBuilder::new();
-        let q0 = bld.add_state(false);
-        bld.add_transition(q0, 'a', q0);
-        let empty = bld.build(q0);
-        assert_eq!(shortest_accepted_word(&empty), None);
-    }
-
-    #[test]
     fn bounded_equality() {
         assert!(bounded_equal(&a_star_b(), &a_star_b(), 5));
         let mut bld = DfaBuilder::new();
@@ -154,10 +109,5 @@ mod tests {
             bounded_equal(&a_star_b(), &just_b, 1),
             "equal up to length 1"
         );
-    }
-
-    #[test]
-    fn profile() {
-        assert_eq!(counting_profile(&a_star_b(), 4), vec![0, 1, 1, 1, 1]);
     }
 }

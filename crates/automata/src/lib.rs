@@ -2,13 +2,12 @@
 //!
 //! Every automaton manipulated by the verifier — thread control-flow graphs,
 //! interleaving products, sleep set automata, π-reductions and Floyd/Hoare
-//! proof automata — is an instance of the [`Dfa`] (or [`Nfa`]) type defined
-//! here. The crate provides the standard constructions the paper relies on:
+//! proof automata — is an instance of the [`Dfa`] type defined here. All of
+//! them are deterministic by construction, so the crate has no NFA. It
+//! provides the constructions the paper relies on:
 //!
 //! * reachability and trimming,
-//! * products and intersections,
-//! * language emptiness, membership and inclusion,
-//! * complement (over a totalized transition function),
+//! * language emptiness, membership, difference, inclusion and equivalence,
 //! * partition-refinement minimization,
 //! * bounded language enumeration (used heavily by the property tests that
 //!   certify soundness and minimality of reductions),
@@ -35,9 +34,7 @@ pub mod dfa;
 pub mod dot;
 pub mod explore;
 pub mod minimize;
-pub mod nfa;
 pub mod ops;
 
 pub use bitset::BitSet;
 pub use dfa::{Dfa, DfaBuilder, StateId};
-pub use nfa::{Nfa, NfaBuilder};

@@ -1,63 +1,40 @@
-//! Language-level operations on DFAs: product, intersection, union,
-//! complement, inclusion and equivalence.
+//! Language-level operations on DFAs: difference, inclusion and
+//! equivalence.
 //!
 //! The proof check of the paper reduces to a language inclusion between the
 //! reduction automaton and the Floyd/Hoare proof automaton; [`is_subset_of`]
-//! is the offline version of that check, used by tests to validate the
-//! on-the-fly algorithm.
+//! is the offline version of that check, which the certificate checker runs
+//! and the tests use to validate the on-the-fly algorithm.
 
 use crate::dfa::{Dfa, DfaBuilder, StateId};
 use std::collections::HashMap;
 use std::hash::Hash;
 
-/// How the product of two DFAs combines acceptance.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum AcceptMode {
-    Both,
-    FirstNotSecond,
-}
-
-/// Lazy product over the *common* alphabet behaviour of partial DFAs.
+/// A DFA for `L(a) \ L(b)`, built over the reachable product states only.
 ///
-/// For `AcceptMode::FirstNotSecond` the second automaton is implicitly
-/// totalized with a rejecting sink, so the result recognizes
-/// `L(a) \ L(b)` — exactly what inclusion checking needs.
-fn product<L: Copy + Eq + Ord + Hash>(a: &Dfa<L>, b: &Dfa<L>, mode: AcceptMode) -> Dfa<L> {
+/// The second automaton is implicitly totalized with a rejecting sink, so a
+/// word that falls off `b` stays in the difference.
+pub fn difference<L: Copy + Eq + Ord + Hash>(a: &Dfa<L>, b: &Dfa<L>) -> Dfa<L> {
     /// Product state: second component `None` is the implicit sink of `b`.
     type PState = (StateId, Option<StateId>);
 
-    let accepting = |a_dfa: &Dfa<L>, b_dfa: &Dfa<L>, (p, q): PState| match mode {
-        AcceptMode::Both => q.is_some_and(|q| a_dfa.is_accepting(p) && b_dfa.is_accepting(q)),
-        AcceptMode::FirstNotSecond => {
-            a_dfa.is_accepting(p) && !q.is_some_and(|q| b_dfa.is_accepting(q))
-        }
-    };
+    let accepting = |(p, q): PState| a.is_accepting(p) && !q.is_some_and(|q| b.is_accepting(q));
 
     let mut builder = DfaBuilder::new();
     let mut ids: HashMap<PState, StateId> = HashMap::new();
     let start: PState = (a.initial(), Some(b.initial()));
-    let start_id = builder.add_state(accepting(a, b, start));
+    let start_id = builder.add_state(accepting(start));
     ids.insert(start, start_id);
     let mut work = vec![start];
 
     while let Some((p, q)) = work.pop() {
         let from = ids[&(p, q)];
         for (l, pt) in a.edges(p) {
-            let qt = match (mode, q) {
-                (AcceptMode::Both, Some(q)) => match b.step(q, l) {
-                    Some(t) => Some(t),
-                    // Intersection: dead in `b` means dead overall.
-                    None => continue,
-                },
-                (AcceptMode::Both, None) => continue,
-                (AcceptMode::FirstNotSecond, Some(q)) => b.step(q, l),
-                (AcceptMode::FirstNotSecond, None) => None,
-            };
-            let next: PState = (pt, qt);
+            let next: PState = (pt, q.and_then(|q| b.step(q, l)));
             let to = match ids.get(&next) {
                 Some(&id) => id,
                 None => {
-                    let id = builder.add_state(accepting(a, b, next));
+                    let id = builder.add_state(accepting(next));
                     ids.insert(next, id);
                     work.push(next);
                     id
@@ -67,38 +44,6 @@ fn product<L: Copy + Eq + Ord + Hash>(a: &Dfa<L>, b: &Dfa<L>, mode: AcceptMode) 
         }
     }
     builder.build(start_id)
-}
-
-/// A DFA for `L(a) ∩ L(b)` (only reachable product states are built).
-pub fn intersection<L: Copy + Eq + Ord + Hash>(a: &Dfa<L>, b: &Dfa<L>) -> Dfa<L> {
-    product(a, b, AcceptMode::Both)
-}
-
-/// A DFA for `L(a) \ L(b)`.
-pub fn difference<L: Copy + Eq + Ord + Hash>(a: &Dfa<L>, b: &Dfa<L>) -> Dfa<L> {
-    product(a, b, AcceptMode::FirstNotSecond)
-}
-
-/// A DFA for the complement of `L(a)` relative to `alphabet*`.
-///
-/// The automaton is totalized with a sink over `alphabet` first.
-pub fn complement<L: Copy + Eq + Ord + Hash>(a: &Dfa<L>, alphabet: &[L]) -> Dfa<L> {
-    let mut builder = DfaBuilder::new();
-    for q in a.states() {
-        let id = builder.add_state(!a.is_accepting(q));
-        debug_assert_eq!(id.index(), q.index());
-    }
-    let sink = builder.add_state(true);
-    for l in alphabet {
-        builder.add_transition(sink, *l, sink);
-    }
-    for q in a.states() {
-        for &l in alphabet {
-            let target = a.step(q, l).unwrap_or(sink);
-            builder.add_transition(q, l, target);
-        }
-    }
-    builder.build(a.initial())
 }
 
 /// `true` iff `L(a) ⊆ L(b)`.
@@ -111,21 +56,10 @@ pub fn are_equivalent<L: Copy + Eq + Ord + Hash>(a: &Dfa<L>, b: &Dfa<L>) -> bool
     is_subset_of(a, b) && is_subset_of(b, a)
 }
 
-/// A shortest word in `L(a) \ L(b)`, if any — the counterexample to
-/// inclusion the refinement loop feeds back to the interpolation engine.
-pub fn inclusion_counterexample<L: Copy + Eq + Ord + Hash>(
-    a: &Dfa<L>,
-    b: &Dfa<L>,
-) -> Option<Vec<L>> {
-    let diff = product(a, b, AcceptMode::FirstNotSecond);
-    crate::explore::shortest_accepted_word(&diff)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dfa::DfaBuilder;
-    use crate::explore::enumerate_words;
 
     /// Words over {a, b} with an even number of `a`s.
     fn even_a() -> Dfa<char> {
@@ -152,45 +86,11 @@ mod tests {
     }
 
     #[test]
-    fn intersection_semantics() {
-        let i = intersection(&even_a(), &ends_in_b());
-        for w in enumerate_words(&['a', 'b'], 6) {
-            let expect =
-                even_a().accepts(w.iter().copied()) && ends_in_b().accepts(w.iter().copied());
-            assert_eq!(i.accepts(w.iter().copied()), expect, "word {w:?}");
-        }
-    }
-
-    #[test]
-    fn complement_semantics() {
-        let c = complement(&even_a(), &['a', 'b']);
-        for w in enumerate_words(&['a', 'b'], 6) {
-            assert_eq!(
-                c.accepts(w.iter().copied()),
-                !even_a().accepts(w.iter().copied()),
-                "word {w:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn inclusion_holds_for_intersection() {
-        let i = intersection(&even_a(), &ends_in_b());
-        assert!(is_subset_of(&i, &even_a()));
-        assert!(is_subset_of(&i, &ends_in_b()));
+    fn inclusion_holds_for_difference() {
+        let d = difference(&even_a(), &ends_in_b());
+        assert!(is_subset_of(&d, &even_a()));
+        assert!(!is_subset_of(&d, &ends_in_b()));
         assert!(!is_subset_of(&even_a(), &ends_in_b()));
-    }
-
-    #[test]
-    fn counterexample_is_shortest() {
-        // even_a ⊄ ends_in_b; shortest witness is the empty word
-        // (ε has zero 'a's, doesn't end in b).
-        let cex = inclusion_counterexample(&even_a(), &ends_in_b()).expect("not included");
-        assert_eq!(cex, Vec::<char>::new());
-        // ends_in_b ⊄ even_a: shortest is "ab"? "b" has 0 a's → in even_a.
-        // "ab" ends in b, has one 'a' → witness of length 2.
-        let cex2 = inclusion_counterexample(&ends_in_b(), &even_a()).expect("not included");
-        assert_eq!(cex2, vec!['a', 'b']);
     }
 
     #[test]

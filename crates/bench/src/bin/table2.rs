@@ -5,7 +5,9 @@
 //! (`seq` vs. `seq-nocache`). The ablation pair is asserted identical
 //! per benchmark (verdict, trace, rounds, proof size) and its measured
 //! time-per-round speedup and hit rates are emitted to
-//! `BENCH_qcache.json` for the perf trajectory.
+//! `target/bench/BENCH_qcache.json` for the perf trajectory, next to the
+//! solver ablation's `BENCH_cdcl.json`; the committed `BENCH_*.json`
+//! records at the repository root are never overwritten.
 //!
 //! Run: `cargo run --release -p bench --bin table2`
 
@@ -379,7 +381,7 @@ fn main() {
     println!();
     println!(
         "Restart supervision (dfs-states budget {SUPERVISED_DFS_BUDGET}, retries {}, escalate {}x)",
-        policy.max_retries, policy.step_factor
+        policy.max_retries, policy.factor
     );
     let retried: Vec<_> = supervised.iter().filter(|s| s.retries_used > 0).collect();
     let converted = retried.iter().filter(|s| s.run.successful()).count();
@@ -455,8 +457,7 @@ fn main() {
         on_w.json("gemcutter-seq/weaver"),
         off_w.json("seq-nocache/weaver"),
     );
-    std::fs::write("BENCH_qcache.json", json).expect("write BENCH_qcache.json");
-    println!("wrote BENCH_qcache.json");
+    write_bench_json("BENCH_qcache.json", &json);
 
     // Solver-engine perf trajectory: CDCL (the `seq` default) vs the
     // legacy DPLL on identical logical work (asserted above), reported as
@@ -485,6 +486,15 @@ fn main() {
         cdcl_w.json("gemcutter-seq/weaver"),
         dpll_w.json("seq-dpll/weaver"),
     );
-    std::fs::write("BENCH_cdcl.json", json).expect("write BENCH_cdcl.json");
-    println!("wrote BENCH_cdcl.json");
+    write_bench_json("BENCH_cdcl.json", &json);
+}
+
+/// Writes one measurement record to `target/bench/<name>`, creating the
+/// directory if missing.
+fn write_bench_json(name: &str, json: &str) {
+    let dir = std::path::Path::new("target/bench");
+    std::fs::create_dir_all(dir).expect("create target/bench");
+    let path = dir.join(name);
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("wrote {}", path.display());
 }

@@ -63,11 +63,9 @@ use std::time::Instant;
 pub struct RetryPolicy {
     /// Maximum number of restarts after the initial attempt.
     pub max_retries: u32,
-    /// Per-retry multiplier on the wall-clock deadline.
-    pub deadline_factor: u32,
-    /// Per-retry multiplier on per-category step budgets (and the
-    /// per-round visited-state cap).
-    pub step_factor: u32,
+    /// Per-retry multiplier on the wall-clock deadline, the per-category
+    /// step budgets and the per-round visited-state cap.
+    pub factor: u32,
 }
 
 impl Default for RetryPolicy {
@@ -75,8 +73,7 @@ impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
         RetryPolicy {
             max_retries: 0,
-            deadline_factor: 2,
-            step_factor: 2,
+            factor: 2,
         }
     }
 }
@@ -90,15 +87,13 @@ impl RetryPolicy {
         }
     }
 
-    /// Sets both escalation factors; builder style.
+    /// Sets the escalation factor; builder style.
     pub fn escalating_by(mut self, factor: u32) -> RetryPolicy {
-        self.deadline_factor = factor;
-        self.step_factor = factor;
+        self.factor = factor;
         self
     }
 
-    /// Parses an `--escalate` factor spec: `4x` or a bare `4`. The factor
-    /// applies to both the deadline and the step budgets.
+    /// Parses an `--escalate` factor spec: `4x` or a bare `4`.
     pub fn parse_factor(spec: &str) -> Result<u32, String> {
         let digits = spec.strip_suffix('x').unwrap_or(spec);
         let f: u32 = digits
@@ -115,12 +110,10 @@ impl RetryPolicy {
     /// per-round visited-state cap scaled like the step budgets.
     fn escalate(&self, config: &VerifierConfig, attempt: u32) -> VerifierConfig {
         let mut escalated = config.clone();
-        escalated.govern = config
-            .govern
-            .escalated(attempt, self.deadline_factor, self.step_factor);
+        escalated.govern = config.govern.escalated(attempt, self.factor);
         escalated.max_visited_per_round = config
             .max_visited_per_round
-            .saturating_mul(self.step_factor.saturating_pow(attempt).max(1) as usize);
+            .saturating_mul(self.factor.saturating_pow(attempt).max(1) as usize);
         escalated
     }
 }

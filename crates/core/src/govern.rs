@@ -58,6 +58,22 @@ impl GovernorConfig {
         }
     }
 
+    /// Sets the step budget of `category`: the `--steps CAT=N` mapping of
+    /// the CLI and the daemon. Categories without a budget slot (deadline,
+    /// rounds, faults) are an error.
+    pub fn set_step_budget(&mut self, category: Category, budget: u64) -> Result<(), String> {
+        let slot = match category {
+            Category::SimplexPivots => &mut self.simplex_pivot_budget,
+            Category::DpllDecisions => &mut self.dpll_decision_budget,
+            Category::CdclConflicts => &mut self.cdcl_conflict_budget,
+            Category::BranchNodes => &mut self.branch_node_budget,
+            Category::DfsStates => &mut self.dfs_state_budget,
+            other => return Err(format!("category `{other}` has no step budget")),
+        };
+        *slot = Some(budget);
+        Ok(())
+    }
+
     /// `true` when nothing is limited or injected — building would be a
     /// no-op.
     pub fn is_unlimited(&self) -> bool {
@@ -77,22 +93,16 @@ impl GovernorConfig {
     }
 
     /// The config after `attempt` escalation steps of the supervisor's
-    /// retry ladder: the deadline stretches by `deadline_factor^attempt`
-    /// and every configured step budget by `step_factor^attempt`
-    /// (saturating). The fault plan is dropped on retries (`attempt > 0`):
-    /// injected faults model the crash that *caused* the restart, so a
-    /// recovery attempt runs clean — otherwise the same charge index would
-    /// re-fire the same fault forever and no ladder could ever converge.
-    pub fn escalated(
-        &self,
-        attempt: u32,
-        deadline_factor: u32,
-        step_factor: u32,
-    ) -> GovernorConfig {
-        let stretch_time =
-            |d: Duration| d.saturating_mul(deadline_factor.saturating_pow(attempt).max(1));
-        let stretch_steps =
-            |n: u64| n.saturating_mul(u64::from(step_factor.saturating_pow(attempt).max(1)));
+    /// retry ladder: the deadline and every configured step budget stretch
+    /// by `factor^attempt` (saturating). The fault plan is dropped on
+    /// retries (`attempt > 0`): injected faults model the crash that
+    /// *caused* the restart, so a recovery attempt runs clean — otherwise
+    /// the same charge index would re-fire the same fault forever and no
+    /// ladder could ever converge.
+    pub fn escalated(&self, attempt: u32, factor: u32) -> GovernorConfig {
+        let stretch = factor.saturating_pow(attempt).max(1);
+        let stretch_time = |d: Duration| d.saturating_mul(stretch);
+        let stretch_steps = |n: u64| n.saturating_mul(u64::from(stretch));
         GovernorConfig {
             deadline: self.deadline.map(stretch_time),
             simplex_pivot_budget: self.simplex_pivot_budget.map(stretch_steps),
@@ -217,11 +227,11 @@ mod tests {
             fault_plan: FaultPlan::parse("rounds:2:unknown").unwrap(),
             ..GovernorConfig::default()
         };
-        let attempt0 = base.escalated(0, 4, 4);
+        let attempt0 = base.escalated(0, 4);
         assert_eq!(attempt0, base, "attempt 0 is the configured run");
-        let attempt2 = base.escalated(2, 4, 3);
+        let attempt2 = base.escalated(2, 4);
         assert_eq!(attempt2.deadline, Some(Duration::from_millis(1600)));
-        assert_eq!(attempt2.simplex_pivot_budget, Some(90));
+        assert_eq!(attempt2.simplex_pivot_budget, Some(160));
         assert_eq!(attempt2.dfs_state_budget, Some(u64::MAX), "saturates");
         assert!(attempt2.fault_plan.is_empty(), "retries run clean");
         assert_eq!(attempt2.dpll_decision_budget, None, "unset stays unset");

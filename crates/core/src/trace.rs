@@ -8,23 +8,6 @@
 use program::concurrent::{LetterId, Program};
 use std::fmt::Write as _;
 
-/// Renders `trace` as an indented list, one line per step, prefixed by the
-/// executing thread's name.
-pub fn render_linear(program: &Program, trace: &[LetterId]) -> String {
-    let mut out = String::new();
-    for (i, &l) in trace.iter().enumerate() {
-        let thread = program.thread(program.thread_of(l));
-        let _ = writeln!(
-            out,
-            "{:3}. [{}] {}",
-            i + 1,
-            thread.name(),
-            program.statement(l).label()
-        );
-    }
-    out
-}
-
 /// Renders `trace` as a table with one column per thread; each row has the
 /// statement in the column of its executing thread.
 pub fn render_columns(program: &Program, trace: &[LetterId]) -> String {
@@ -105,15 +88,6 @@ mod tests {
             b.add_thread(Thread::new("worker", cfg.build(entry), BitSet::new(2)));
         }
         b.build(pool)
-    }
-
-    #[test]
-    fn linear_rendering() {
-        let mut pool = TermPool::new();
-        let p = two_thread_program(&mut pool);
-        let s = render_linear(&p, &[LetterId(0), LetterId(1)]);
-        assert!(s.contains("1. [worker] x := 1"));
-        assert!(s.contains("2. [worker] x := 2"));
     }
 
     #[test]

@@ -194,12 +194,6 @@ impl VerifierConfig {
         self.solver = solver;
         self
     }
-
-    /// Disables certificate recording (ablations and perf baselines).
-    pub fn without_certificates(mut self) -> VerifierConfig {
-        self.certify = false;
-        self
-    }
 }
 
 /// Verification verdict.
@@ -226,11 +220,6 @@ impl Verdict {
     /// `true` for [`Verdict::Correct`].
     pub fn is_correct(&self) -> bool {
         matches!(self, Verdict::Correct)
-    }
-
-    /// `true` for [`Verdict::Incorrect`].
-    pub fn is_incorrect(&self) -> bool {
-        matches!(self, Verdict::Incorrect { .. })
     }
 
     /// The give-up record, for [`Verdict::GaveUp`].
@@ -277,12 +266,6 @@ pub struct RunStats {
     /// Proven results whose certificate was dropped because the recording
     /// walk tripped its state budget or the resource governor.
     pub certs_dropped: usize,
-    /// Certificates re-checked before being served or accepted.
-    pub certs_checked: usize,
-    /// Certificates that passed the independent check.
-    pub certs_passed: usize,
-    /// Certificates rejected and quarantined.
-    pub certs_quarantined: usize,
 }
 
 impl RunStats {
@@ -317,16 +300,6 @@ impl RunStats {
             0.0
         } else {
             self.qcache_hits as f64 / total as f64
-        }
-    }
-
-    /// Useless-cache hit rate (`cache_skips / useless_probes`; 0 when
-    /// the cache was never probed).
-    pub fn useless_hit_rate(&self) -> f64 {
-        if self.useless_probes == 0 {
-            0.0
-        } else {
-            self.cache_skips as f64 / self.useless_probes as f64
         }
     }
 }

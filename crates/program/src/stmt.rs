@@ -160,9 +160,11 @@ impl Statement {
             let mut sym = SymState::new(&in_version);
             sym.exec_path(pool, path);
             let mut conjuncts = sym.guards.clone();
-            for (&w, &wv) in &out_version {
-                let final_value = sym.value(w);
-                let out = LinExpr::var(wv);
+            // Written variables in `BTreeSet` order, so the equalities are
+            // interned in the same order on every run.
+            for w in &self.writes {
+                let final_value = sym.value(*w);
+                let out = LinExpr::var(out_version[w]);
                 conjuncts.push(pool.eq(&out, &final_value));
             }
             disjuncts.push(pool.and(conjuncts));

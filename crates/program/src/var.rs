@@ -47,12 +47,6 @@ impl Versions {
         self.current.insert(v, fresh);
         fresh
     }
-
-    /// The program variables that have been bumped at least once, with
-    /// their current versions.
-    pub fn bumped(&self) -> impl Iterator<Item = (VarId, VarId)> + '_ {
-        self.current.iter().map(|(&v, &c)| (v, c))
-    }
 }
 
 #[cfg(test)]
@@ -71,7 +65,6 @@ mod tests {
         assert_ne!(x1, x2);
         assert_eq!(v.current(x), x2);
         assert_eq!(v.current(y), y);
-        assert_eq!(v.bumped().count(), 1);
     }
 
     #[test]

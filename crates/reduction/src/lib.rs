@@ -9,21 +9,19 @@
 //! * [`order`] — preference orders: classic lexicographic (thread-uniform
 //!   `seq`, seeded `random`) and positional (`lockstep`), finitely
 //!   represented via a per-order context automaton (§4.1–4.2);
-//! * [`sleep`] — the sleep set automaton `S⋖(A)` recognizing exactly the
-//!   lexicographic reduction `red_lex(⋖)(L(A))` (§5, Def. 5.1/Thm. 5.3);
 //! * [`persistent`] — weakly persistent membranes via the conflict-SCC
 //!   construction (§6/§7.1, Algorithm 1);
 //! * [`reduce`] — the combined, space-efficient construction
-//!   `(S⋖(A))↓πS` (§6.2, Thm. 6.6), built explicitly for experiments and
-//!   tests (the verifier constructs it on the fly instead).
+//!   `(S⋖(P))↓πS` (§6.2, Thm. 6.6), built explicitly for experiments and
+//!   tests (the verifier constructs it on the fly instead). With membranes
+//!   off it is the sleep set automaton `S⋖(P)`, which recognizes exactly the
+//!   lexicographic reduction `red_lex(⋖)(L(P))` (§5, Def. 5.1/Thm. 5.3).
 
 pub mod mazurkiewicz;
 pub mod order;
 pub mod persistent;
 pub mod reduce;
-pub mod sleep;
 
 pub use order::{LockstepOrder, OrderContext, PreferenceOrder, RandomOrder, SeqOrder};
 pub use persistent::{MembraneMode, PersistentSets};
 pub use reduce::{reduction_automaton, ReductionConfig};
-pub use sleep::sleep_set_automaton;

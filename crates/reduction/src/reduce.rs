@@ -4,7 +4,9 @@
 //! The verifier never materializes this automaton — Algorithm 2 constructs
 //! it on the fly during the proof check — but the explicit construction is
 //! what the language-theoretic experiments (reduction sizes, Thm. 7.2's
-//! linear bound) and the soundness/minimality property tests run on.
+//! linear bound) and the soundness/minimality property tests run on. It is
+//! also the crate's only sleep-set construction: with `use_persistent`
+//! off it yields the sleep set automaton `S⋖(P)` of §5 (Def. 5.1).
 
 use crate::order::{OrderContext, PreferenceOrder};
 use crate::persistent::{MembraneMode, PersistentSets};
@@ -141,28 +143,58 @@ mod tests {
     use program::thread::{Thread, ThreadId};
     use smt::linear::LinExpr;
 
-    /// n threads, each a single private write (full commutativity).
-    fn independent(pool: &mut TermPool, n: u32) -> Program {
+    /// n threads, each writing its own variable k times in sequence — full
+    /// commutativity across threads.
+    fn independent(pool: &mut TermPool, n: u32, k: u32) -> Program {
         let mut b = Program::builder("ind");
         let mut letters = Vec::new();
         for t in 0..n {
             let v = pool.var(&format!("x{t}"));
             b.add_global(v, 0);
-            letters.push(b.add_statement(Statement::simple(
-                ThreadId(t),
-                &format!("w{t}"),
-                SimpleStmt::Assign(v, LinExpr::constant(1)),
-                pool,
-            )));
+            let ls: Vec<LetterId> = (0..k)
+                .map(|s| {
+                    b.add_statement(Statement::simple(
+                        ThreadId(t),
+                        &format!("w{t}.{s}"),
+                        SimpleStmt::Assign(v, LinExpr::constant(i128::from(s) + 1)),
+                        pool,
+                    ))
+                })
+                .collect();
+            letters.push(ls);
         }
-        for t in 0..n as usize {
+        for ls in &letters {
             let mut cfg = CfgBuilder::new();
-            let entry = cfg.add_state(false);
-            let exit = cfg.add_state(true);
-            cfg.add_transition(entry, letters[t], exit);
-            b.add_thread(Thread::new("t", cfg.build(entry), BitSet::new(2)));
+            let entry = cfg.add_state(ls.is_empty());
+            let mut prev = entry;
+            for (s, &l) in ls.iter().enumerate() {
+                let next = cfg.add_state(s + 1 == ls.len());
+                cfg.add_transition(prev, l, next);
+                prev = next;
+            }
+            b.add_thread(Thread::new(
+                "t",
+                cfg.build(entry),
+                BitSet::new(ls.len() + 1),
+            ));
         }
         b.build(pool)
+    }
+
+    /// The sleep set automaton `S⋖(P)` (§5, Def. 5.1): sleep sets without
+    /// membranes.
+    fn sleep_set_automaton(
+        pool: &mut TermPool,
+        p: &Program,
+        order: &dyn PreferenceOrder,
+        oracle: &mut CommutativityOracle,
+    ) -> Dfa<LetterId> {
+        let config = ReductionConfig {
+            use_sleep: true,
+            use_persistent: false,
+            max_states: 100_000,
+        };
+        reduction_automaton(pool, p, Spec::PrePost, order, oracle, config)
     }
 
     /// Figure 2a: each thread loops `a_i b_i` and can exit with `c_i`; all
@@ -216,18 +248,7 @@ mod tests {
         let mut pool = TermPool::new();
         let p = figure2a(&mut pool);
         let mut oracle = CommutativityOracle::new(CommutativityLevel::Syntactic);
-        let sleep_only = reduction_automaton(
-            &mut pool,
-            &p,
-            Spec::PrePost,
-            &SeqOrder::new(),
-            &mut oracle,
-            ReductionConfig {
-                use_sleep: true,
-                use_persistent: false,
-                max_states: 100_000,
-            },
-        );
+        let sleep_only = sleep_set_automaton(&mut pool, &p, &SeqOrder::new(), &mut oracle);
         let combined = reduction_automaton(
             &mut pool,
             &p,
@@ -312,7 +333,7 @@ mod tests {
         let mut pool = TermPool::new();
         let mut reduced_sizes = Vec::new();
         for n in 1..=6u32 {
-            let p = independent(&mut pool, n);
+            let p = independent(&mut pool, n, 1);
             let mut oracle = CommutativityOracle::new(CommutativityLevel::Syntactic);
             let red = reduction_automaton(
                 &mut pool,
@@ -337,7 +358,7 @@ mod tests {
     #[test]
     fn no_reduction_flags_gives_the_product() {
         let mut pool = TermPool::new();
-        let p = independent(&mut pool, 3);
+        let p = independent(&mut pool, 3, 1);
         let mut oracle = CommutativityOracle::new(CommutativityLevel::Syntactic);
         let none = reduction_automaton(
             &mut pool,
@@ -382,5 +403,100 @@ mod tests {
             commute,
         )
         .expect("π-reduction alone is sound");
+    }
+
+    /// Figure 3's shape: two threads of two letters each, all cross-thread
+    /// letters commuting (distinct variables).
+    #[test]
+    fn figure3_sleep_set_prunes_paths_not_states() {
+        let mut pool = TermPool::new();
+        let p = independent(&mut pool, 2, 2);
+        let product = p.explicit_product(Spec::PrePost);
+        let mut oracle = CommutativityOracle::new(CommutativityLevel::Syntactic);
+        let sleep = sleep_set_automaton(&mut pool, &p, &SeqOrder::new(), &mut oracle);
+        // Exactly one representative per class: the full language of 2+2
+        // interleavings is C(4,2) = 6 words; the reduction keeps 1.
+        let full = accepted_words(&product, 4);
+        assert_eq!(full.len(), 6);
+        let reduced = accepted_words(&sleep, 4);
+        assert_eq!(reduced.len(), 1, "full commutativity: single class");
+        // Under seq order the representative is thread 0 first.
+        assert_eq!(
+            reduced[0],
+            vec![LetterId(0), LetterId(1), LetterId(2), LetterId(3)]
+        );
+    }
+
+    #[test]
+    fn sleep_reduction_is_sound_and_minimal() {
+        let mut pool = TermPool::new();
+        let p = independent(&mut pool, 3, 1);
+        let product = p.explicit_product(Spec::PrePost);
+        let mut oracle = CommutativityOracle::new(CommutativityLevel::Syntactic);
+        for order in [
+            Box::new(SeqOrder::new()) as Box<dyn PreferenceOrder>,
+            Box::new(RandomOrder::new(3)),
+        ] {
+            let sleep = sleep_set_automaton(&mut pool, &p, order.as_ref(), &mut oracle);
+            let full = accepted_words(&product, 3);
+            let reduced = accepted_words(&sleep, 3);
+            check_reduction_sound(&full, &reduced, full_commute(&p)).expect("sound");
+            check_reduction_minimal(&reduced, full_commute(&p)).expect("minimal");
+            assert_eq!(reduced.len(), 1);
+        }
+    }
+
+    #[test]
+    fn dependent_letters_are_not_pruned() {
+        // Two threads writing the SAME variable: nothing commutes, the
+        // reduction is the full language.
+        let mut pool = TermPool::new();
+        let mut b = Program::builder("conflict");
+        let x = pool.var("x");
+        b.add_global(x, 0);
+        let l0 = b.add_statement(Statement::simple(
+            ThreadId(0),
+            "x := 1",
+            SimpleStmt::Assign(x, LinExpr::constant(1)),
+            &pool,
+        ));
+        let l1 = b.add_statement(Statement::simple(
+            ThreadId(1),
+            "x := 2",
+            SimpleStmt::Assign(x, LinExpr::constant(2)),
+            &pool,
+        ));
+        for l in [l0, l1] {
+            let mut cfg = CfgBuilder::new();
+            let entry = cfg.add_state(false);
+            let exit = cfg.add_state(true);
+            cfg.add_transition(entry, l, exit);
+            b.add_thread(Thread::new("t", cfg.build(entry), BitSet::new(2)));
+        }
+        let p = b.build(&mut pool);
+        let mut oracle = CommutativityOracle::new(CommutativityLevel::Semantic);
+        let sleep = sleep_set_automaton(&mut pool, &p, &SeqOrder::new(), &mut oracle);
+        assert_eq!(accepted_words(&sleep, 2).len(), 2, "both orders kept");
+    }
+
+    #[test]
+    fn sleep_states_can_exceed_input_states() {
+        // Unrolling duplicates states (the paper notes sleep sets do not
+        // reduce the state count).
+        let mut pool = TermPool::new();
+        let p = independent(&mut pool, 2, 2);
+        let product = p.explicit_product(Spec::PrePost);
+        let mut oracle = CommutativityOracle::new(CommutativityLevel::Syntactic);
+        let sleep = sleep_set_automaton(&mut pool, &p, &SeqOrder::new(), &mut oracle);
+        assert!(
+            sleep.num_states() >= product.num_states() - 2,
+            "sleep construction does not shrink the state space: {} vs {}",
+            sleep.num_states(),
+            product.num_states()
+        );
+        // And it contains useless (non-co-reachable) states — the problem
+        // persistent sets solve (§6).
+        let useless = sleep.num_states() - sleep.trim().num_states();
+        assert!(useless > 0, "expected sleep-set-blocked states");
     }
 }

@@ -181,8 +181,12 @@ struct Shared {
     /// whenever the record changes (write-back or quarantine), forcing a
     /// fresh audit on the next hit. The `full` and `structural` tiers
     /// never consult this — paranoid deployments re-check every serve.
+    ///
+    /// Needs no cap: an entry is only inserted for a record found in the
+    /// store, and write-back and quarantine remove it, so every entry names
+    /// a record in the store and the set never outgrows it.
     certs_audited: Mutex<HashSet<u64>>,
-    latencies_ms: Mutex<Vec<u64>>,
+    latencies_ms: Mutex<LatencyRing>,
 }
 
 impl Shared {
@@ -270,7 +274,7 @@ impl Shared {
         info.push(("qcache-hits".to_owned(), qc.hits.to_string()));
         info.push(("qcache-misses".to_owned(), qc.misses.to_string()));
         info.push(("qcache-evictions".to_owned(), qc.evictions.to_string()));
-        let (p50, p95, max) = percentiles(&self.latencies_ms.lock().expect("latencies"));
+        let (p50, p95, max) = self.latencies_ms.lock().expect("latencies").percentiles();
         info.push(("latency-p50-ms".to_owned(), p50.to_string()));
         info.push(("latency-p95-ms".to_owned(), p95.to_string()));
         info.push(("latency-max-ms".to_owned(), max.to_string()));
@@ -278,14 +282,39 @@ impl Shared {
     }
 }
 
-fn percentiles(samples: &[u64]) -> (u64, u64, u64) {
-    if samples.is_empty() {
-        return (0, 0, 0);
+/// How many latency samples a [`LatencyRing`] keeps.
+const LATENCY_SAMPLES: usize = 4096;
+
+/// The most recent [`LATENCY_SAMPLES`] request latencies in a fixed ring,
+/// so a long-running daemon's latency memory and the cost of a `stats`
+/// call stay flat however many requests it serves.
+#[derive(Debug, Default)]
+struct LatencyRing {
+    samples: Vec<u64>,
+    /// The slot the next sample overwrites once the ring is full.
+    next: usize,
+}
+
+impl LatencyRing {
+    fn record(&mut self, ms: u64) {
+        if self.samples.len() < LATENCY_SAMPLES {
+            self.samples.push(ms);
+        } else {
+            self.samples[self.next] = ms;
+        }
+        self.next = (self.next + 1) % LATENCY_SAMPLES;
     }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let at = |q: f64| sorted[((sorted.len() - 1) as f64 * q).round() as usize];
-    (at(0.50), at(0.95), sorted[sorted.len() - 1])
+
+    /// `(p50, p95, max)` over the retained samples; zeros when empty.
+    fn percentiles(&self) -> (u64, u64, u64) {
+        if self.samples.is_empty() {
+            return (0, 0, 0);
+        }
+        let mut sorted = self.samples.clone();
+        sorted.sort_unstable();
+        let at = |q: f64| sorted[((sorted.len() - 1) as f64 * q).round() as usize];
+        (at(0.50), at(0.95), sorted[sorted.len() - 1])
+    }
 }
 
 /// A bound daemon, ready to [`Server::run`].
@@ -335,7 +364,7 @@ impl Server {
             useless_probes: AtomicU64::new(0),
             useless_hits: AtomicU64::new(0),
             certs_audited: Mutex::new(HashSet::new()),
-            latencies_ms: Mutex::new(Vec::new()),
+            latencies_ms: Mutex::new(LatencyRing::default()),
         });
         Ok(Server {
             listener,
@@ -529,7 +558,7 @@ fn handle_verify(shared: &Shared, job: &Job) -> Response {
             .latencies_ms
             .lock()
             .expect("latencies")
-            .push(response.time_ms);
+            .record(response.time_ms);
         response
     };
 
@@ -671,20 +700,9 @@ fn handle_verify(shared: &Shared, job: &Job) -> Response {
                 shared,
             );
         };
-        let slot = match category {
-            Category::SimplexPivots => &mut config.govern.simplex_pivot_budget,
-            Category::DpllDecisions => &mut config.govern.dpll_decision_budget,
-            Category::CdclConflicts => &mut config.govern.cdcl_conflict_budget,
-            Category::BranchNodes => &mut config.govern.branch_node_budget,
-            Category::DfsStates => &mut config.govern.dfs_state_budget,
-            other => {
-                return finish(
-                    Response::error(&job.id, format!("category `{other}` has no step budget")),
-                    shared,
-                )
-            }
-        };
-        *slot = Some(*n);
+        if let Err(e) = config.govern.set_step_budget(category, *n) {
+            return finish(Response::error(&job.id, e), shared);
+        }
     }
     if let Some(spec) = &job.opts.faults {
         match FaultPlan::parse(spec) {
@@ -951,7 +969,8 @@ struct BatchStats {
     shed: u64,
     store_hits: u64,
     warm_starts: u64,
-    latencies_ms: Vec<u64>,
+    verifications: u64,
+    latencies_ms: LatencyRing,
 }
 
 impl BatchStats {
@@ -969,17 +988,17 @@ impl BatchStats {
             self.warm_starts += 1;
         }
         if response.verdict.is_some() {
-            self.latencies_ms.push(response.time_ms);
+            self.verifications += 1;
+            self.latencies_ms.record(response.time_ms);
         }
     }
 
     fn render(&self, shared: &Shared) -> String {
-        let (p50, p95, max) = percentiles(&self.latencies_ms);
-        let verifications = self.latencies_ms.len() as u64;
-        let hit_rate = if verifications == 0 {
+        let (p50, p95, max) = self.latencies_ms.percentiles();
+        let hit_rate = if self.verifications == 0 {
             0.0
         } else {
-            self.store_hits as f64 / verifications as f64
+            self.store_hits as f64 / self.verifications as f64
         };
         format!(
             "batch: served={} ok={} errors={} shed={} store-hits={} hit-rate={:.2} warm-starts={} \
@@ -1004,5 +1023,23 @@ impl BatchStats {
             max,
             shared.cache.stats().evictions,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn latency_ring_stays_at_capacity() {
+        let mut ring = LatencyRing::default();
+        for ms in 0..10_000 {
+            ring.record(ms);
+        }
+        assert_eq!(ring.samples.len(), LATENCY_SAMPLES);
+        // Only the most recent samples remain.
+        let oldest = 10_000 - LATENCY_SAMPLES as u64;
+        assert_eq!(ring.samples.iter().min(), Some(&oldest));
+        assert_eq!(ring.percentiles().2, 9_999);
     }
 }

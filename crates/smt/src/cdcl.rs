@@ -237,11 +237,6 @@ impl CdclSolver {
         self.assign.len()
     }
 
-    /// The LIA atom carried by `v`, if `v` encodes an atom.
-    pub fn atom_constraint(&self, v: BVar) -> Option<&LinearConstraint> {
-        self.atom[v as usize].as_ref()
-    }
-
     /// Total conflicts analyzed over the solver's lifetime.
     pub fn conflicts(&self) -> u64 {
         self.conflicts
@@ -250,11 +245,6 @@ impl CdclSolver {
     /// Total restarts over the solver's lifetime.
     pub fn restarts(&self) -> u64 {
         self.restarts
-    }
-
-    /// Rows in the warm simplex tableau (introspection).
-    pub fn tableau_rows(&self) -> usize {
-        self.simplex.num_rows()
     }
 
     /// Starts collecting an [`AuditReport`].

@@ -12,7 +12,7 @@
 
 use crate::linear::{LinExpr, LinearConstraint, NormalizedConstraint, Rel, VarId};
 use crate::resource::ResourceGovernor;
-use crate::simplex::{check_rational, IncrementalSimplex, SimplexResult, TheoryResult};
+use crate::simplex::{IncrementalSimplex, TheoryResult};
 use crate::term::{Term, TermId, TermPool};
 
 /// A conjunction of linear constraints. The empty cube is `true`.
@@ -71,11 +71,6 @@ impl Cube {
         &self.constraints
     }
 
-    /// `true` if the cube is the tautology.
-    pub fn is_tautology(&self) -> bool {
-        self.constraints.is_empty()
-    }
-
     /// All variables mentioned.
     pub fn vars(&self) -> Vec<VarId> {
         let mut vs: Vec<VarId> = self
@@ -91,12 +86,6 @@ impl Cube {
     /// `true` if `x` occurs in the cube.
     pub fn mentions(&self, x: VarId) -> bool {
         self.constraints.iter().any(|c| c.expr().mentions(x))
-    }
-
-    /// Rational consistency check (sound for pruning: rational-unsat ⇒
-    /// integer-unsat).
-    pub fn is_rationally_consistent(&self) -> bool {
-        !matches!(check_rational(&self.constraints), SimplexResult::Unsat)
     }
 
     /// Conjunction of the two cubes, `None` if trivially false.
@@ -532,7 +521,7 @@ mod tests {
         // The Or constructor doesn't subsume; DNF does.
         let dnf = Dnf::from_term(&p, f);
         assert_eq!(dnf.cubes().len(), 1);
-        assert!(dnf.cubes()[0].is_tautology() || dnf.cubes()[0].constraints().len() == 1);
+        assert!(dnf.cubes()[0].constraints().len() <= 1);
     }
 
     #[test]

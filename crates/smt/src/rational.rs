@@ -78,11 +78,6 @@ impl Rat {
         Rat { num: n, den: 1 }
     }
 
-    /// Numerator (reduced form).
-    pub fn numerator(self) -> i128 {
-        self.num
-    }
-
     /// `true` if the value is an integer.
     pub fn is_integer(self) -> bool {
         self.den == 1

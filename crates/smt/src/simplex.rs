@@ -411,11 +411,6 @@ impl IncrementalSimplex {
         }
     }
 
-    /// Number of tableau rows (introspection: the warm basis size).
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Total pivots performed so far (introspection).
     pub fn pivots(&self) -> u64 {
         self.pivots

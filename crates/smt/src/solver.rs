@@ -156,10 +156,52 @@ pub fn check_with_config(
     config: &SolverConfig,
 ) -> SatResult {
     let formula = pool.and(assertions.iter().copied());
-    // Memoization: trivially-constant formulas skip the cache entirely
-    // (both lookup and insert) and flow through the unchanged search, so
-    // governor charge sequences for them stay bit-identical to a
-    // cache-free build.
+    cached_solve(pool, formula, |pool| {
+        let governor = pool.governor().clone();
+        let (outcome, saw_unknown) = match config.solver {
+            SolverKind::Cdcl => {
+                let (values, saw_unknown) = cdcl::solve_formula(
+                    pool,
+                    formula,
+                    config.bb_budget,
+                    config.dpll_budget,
+                    &governor,
+                );
+                (values.map(Model::from_values), saw_unknown)
+            }
+            SolverKind::Dpll => {
+                let mut search = Search {
+                    pool: &mut *pool,
+                    config,
+                    budget: config.dpll_budget,
+                    saw_unknown: false,
+                    governor,
+                };
+                let mut fixed = Vec::new();
+                (search.dpll(formula, &mut fixed), search.saw_unknown)
+            }
+        };
+        match outcome {
+            // A found model is definitive even if some branch gave up.
+            Some(model) => SatResult::Sat(model),
+            None if saw_unknown => SatResult::Unknown,
+            None => SatResult::Unsat,
+        }
+    })
+}
+
+/// The query-cache protocol around one solve of `formula`, shared by
+/// [`check_with_config`] and the warm scope engine. Trivially-constant
+/// formulas skip the cache entirely (both lookup and insert) and flow
+/// through the unchanged search, so governor charge sequences for them
+/// stay bit-identical to a cache-free build. A hit answers after a
+/// governor poll (see [`consult`]); a miss runs `solve` and inserts its
+/// answer unless it is `Unknown`.
+fn cached_solve(
+    pool: &mut TermPool,
+    formula: TermId,
+    solve: impl FnOnce(&mut TermPool) -> SatResult,
+) -> SatResult {
     let cached = match pool.query_cache() {
         Some(cache) if formula != TermPool::TRUE && formula != TermPool::FALSE => {
             let cache = cache.clone();
@@ -171,46 +213,17 @@ pub fn check_with_config(
         }
         _ => None,
     };
-    let governor = pool.governor().clone();
-    let (outcome, saw_unknown) = match config.solver {
-        SolverKind::Cdcl => {
-            let (values, saw_unknown) = cdcl::solve_formula(
-                pool,
-                formula,
-                config.bb_budget,
-                config.dpll_budget,
-                &governor,
-            );
-            (values.map(Model::from_values), saw_unknown)
-        }
-        SolverKind::Dpll => {
-            let mut search = Search {
-                pool: &mut *pool,
-                config,
-                budget: config.dpll_budget,
-                saw_unknown: false,
-                governor,
-            };
-            let mut fixed = Vec::new();
-            (search.dpll(formula, &mut fixed), search.saw_unknown)
-        }
-    };
-    match outcome {
-        Some(model) => {
-            if let Some((cache, key)) = cached {
-                // A found model is definitive even if some branch gave up.
-                cache.insert(key, CachedVerdict::Sat(export_model(pool, &model)));
+    let result = solve(pool);
+    if let Some((cache, key)) = cached {
+        match &result {
+            SatResult::Sat(model) => {
+                cache.insert(key, CachedVerdict::Sat(export_model(pool, model)));
             }
-            SatResult::Sat(model)
-        }
-        None if saw_unknown => SatResult::Unknown,
-        None => {
-            if let Some((cache, key)) = cached {
-                cache.insert(key, CachedVerdict::Unsat);
-            }
-            SatResult::Unsat
+            SatResult::Unsat => cache.insert(key, CachedVerdict::Unsat),
+            SatResult::Unknown => {}
         }
     }
+    result
 }
 
 /// The pool-independent canonical cache key for `formula`.
@@ -337,9 +350,9 @@ struct ScopeEngine {
 }
 
 impl ScopeEngine {
-    /// Checks `prefix ∧ extra` on the persistent solver, with the same
-    /// query-cache protocol as a plain [`check`] (constants bypass the
-    /// cache, hits poll the governor, `Unknown` is never inserted).
+    /// Checks `prefix ∧ extra` on the persistent solver, through the same
+    /// query-cache protocol as a plain [`check`]. A constant formula goes
+    /// to [`check`] itself.
     fn check(
         &mut self,
         pool: &mut TermPool,
@@ -351,44 +364,24 @@ impl ScopeEngine {
         if formula == TermPool::TRUE || formula == TermPool::FALSE {
             return check(pool, &[formula]);
         }
-        let cached = match pool.query_cache() {
-            Some(cache) => {
-                let cache = cache.clone();
-                let key = canonical_key(pool, formula);
-                match consult(pool, formula, &cache, &key) {
-                    Some(result) => return result,
-                    None => Some((cache, key)),
-                }
+        cached_solve(pool, formula, |pool| {
+            let governor = pool.governor().clone();
+            if !self.prefix_added {
+                self.solver.add_assertion(pool, prefix, 0);
+                self.prefix_added = true;
             }
-            None => None,
-        };
-        let governor = pool.governor().clone();
-        if !self.prefix_added {
-            self.solver.add_assertion(pool, prefix, 0);
-            self.prefix_added = true;
-        }
-        self.solver.push_scope();
-        self.solver.add_assertion(pool, extra, 1);
-        let out = self
-            .solver
-            .solve(&governor, config.bb_budget, config.dpll_budget);
-        self.solver.pop_scope();
-        match out {
-            CdclOutcome::Sat(values) => {
-                let model = Model::from_values(values);
-                if let Some((cache, key)) = cached {
-                    cache.insert(key, CachedVerdict::Sat(export_model(pool, &model)));
-                }
-                SatResult::Sat(model)
+            self.solver.push_scope();
+            self.solver.add_assertion(pool, extra, 1);
+            let out = self
+                .solver
+                .solve(&governor, config.bb_budget, config.dpll_budget);
+            self.solver.pop_scope();
+            match out {
+                CdclOutcome::Sat(values) => SatResult::Sat(Model::from_values(values)),
+                CdclOutcome::Unsat { .. } => SatResult::Unsat,
+                CdclOutcome::Unknown => SatResult::Unknown,
             }
-            CdclOutcome::Unsat { .. } => {
-                if let Some((cache, key)) = cached {
-                    cache.insert(key, CachedVerdict::Unsat);
-                }
-                SatResult::Unsat
-            }
-            CdclOutcome::Unknown => SatResult::Unknown,
-        }
+        })
     }
 }
 

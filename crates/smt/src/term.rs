@@ -120,11 +120,6 @@ impl TermPool {
         &self.terms[id.index()]
     }
 
-    /// Number of distinct interned terms.
-    pub fn num_terms(&self) -> usize {
-        self.terms.len()
-    }
-
     // ---- resource governance ---------------------------------------------
 
     /// Installs `governor`: every subsequent solver query routed through
@@ -379,27 +374,6 @@ impl TermPool {
         result
     }
 
-    /// `a → b`.
-    pub fn implies(&mut self, a: TermId, b: TermId) -> TermId {
-        let na = self.not(a);
-        self.or([na, b])
-    }
-
-    /// `a ↔ b`.
-    pub fn iff(&mut self, a: TermId, b: TermId) -> TermId {
-        let fwd = self.implies(a, b);
-        let bwd = self.implies(b, a);
-        self.and([fwd, bwd])
-    }
-
-    /// `if c then a else b` as `(c ∧ a) ∨ (¬c ∧ b)`.
-    pub fn ite(&mut self, c: TermId, a: TermId, b: TermId) -> TermId {
-        let nc = self.not(c);
-        let then_branch = self.and([c, a]);
-        let else_branch = self.and([nc, b]);
-        self.or([then_branch, else_branch])
-    }
-
     // ---- queries and transformations --------------------------------------
 
     /// Evaluates `id` under the total integer assignment `value`.
@@ -652,22 +626,6 @@ mod tests {
         let f = p.ge_const(x, 1);
         let g = p.rename(f, &move |v| if v == x { x2 } else { v });
         assert_eq!(p.free_vars(g), vec![x2]);
-    }
-
-    #[test]
-    fn ite_and_iff() {
-        let mut p = TermPool::new();
-        let x = p.var("x");
-        let c = p.ge_const(x, 0);
-        let a = p.le_const(x, 10);
-        let b = p.ge_const(x, -10);
-        let f = p.ite(c, a, b);
-        assert!(p.eval(f, &|_| 5)); // c true, a true
-        assert!(!p.eval(f, &|_| 20)); // c true, a false
-        assert!(p.eval(f, &|_| -5)); // c false, b true
-        let g = p.iff(c, a);
-        assert!(p.eval(g, &|_| 5));
-        assert!(!p.eval(g, &|_| 20));
     }
 
     #[test]

@@ -7,16 +7,25 @@
 //! exactly this slicing. The core is computed by deletion: drop each
 //! assertion in turn and keep it only if the rest becomes satisfiable.
 //!
-//! Under the CDCL engine the deletion loop is accelerated by the
-//! refutation's own antecedent set: every clause carries the assertion
-//! indices it derives from (unioned through learned-clause resolutions),
-//! so the final conflict names a proven-unsat subset that certifies most
-//! deletion probes without a solver call. The certificate only skips
-//! probes whose outcome it decides, so the computed core is *identical*
-//! to the legacy loop's — trace slicing does not depend on the engine.
+//! The loop carries a *seed*: a proven-unsat subset of the kept indices.
+//! A deletion probe of an index outside the seed must come back unsat (the
+//! seed survives the deletion), so it is decided without a solver call;
+//! indices inside the seed are genuinely probed, and a successful probe
+//! refreshes the seed from its own refutation. The solver kind picks the
+//! refuter that supplies seeds:
+//!
+//! * CDCL names the antecedent origins of its final conflict (every clause
+//!   carries the assertion indices it derives from, unioned through
+//!   learned-clause resolutions), so most probes are skipped;
+//! * DPLL names every assertion it refuted, so every index is probed and
+//!   the loop is the plain greedy deletion loop.
+//!
+//! A seed only skips probes whose outcome it decides, so the computed core
+//! is *identical* under both refuters — trace slicing does not depend on
+//! the engine.
 
 use crate::cdcl::{self, CdclOutcome};
-use crate::solver::{check, SatResult, SolverConfig, SolverKind};
+use crate::solver::{check, SolverConfig, SolverKind};
 use crate::term::{TermId, TermPool};
 
 /// Computes a (locally minimal) unsat core of `assertions`.
@@ -44,58 +53,7 @@ use crate::term::{TermId, TermPool};
 /// assert_eq!(core, vec![0, 2]);
 /// ```
 pub fn unsat_core(pool: &mut TermPool, assertions: &[TermId]) -> Option<Vec<usize>> {
-    if pool.solver_kind() == SolverKind::Cdcl {
-        return cdcl_core(pool, assertions);
-    }
-    if !check(pool, assertions).is_unsat() {
-        return None;
-    }
-    let mut kept: Vec<usize> = (0..assertions.len()).collect();
-    let mut i = 0;
-    while i < kept.len() {
-        let candidate: Vec<TermId> = kept
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != i)
-            .map(|(_, &k)| assertions[k])
-            .collect();
-        if matches!(check(pool, &candidate), SatResult::Unsat) {
-            kept.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    Some(kept)
-}
-
-/// Refutes `terms` with the CDCL engine, returning the antecedent
-/// origins of the refutation — a sound (unsat) subset of `0..terms.len()`
-/// — or `None` on `Sat`/`Unknown`.
-fn cdcl_refute(pool: &TermPool, terms: &[TermId]) -> Option<Vec<u32>> {
-    let config = SolverConfig::default();
-    let governor = pool.governor().clone();
-    match cdcl::check_with_core(pool, terms, config.bb_budget, config.dpll_budget, &governor) {
-        CdclOutcome::Unsat { origins } => Some(origins),
-        _ => None,
-    }
-}
-
-/// The CDCL-engine core: produces **exactly** the same core as the
-/// legacy deletion loop (so the refinement trajectory is engine-
-/// independent), but uses the refutation's antecedent origins as an
-/// unsatisfiability certificate to skip most deletion probes.
-///
-/// Invariant: `seed` is a proven-unsat subset of `kept`. Probing an
-/// index outside `seed` must come back unsat (the certificate survives
-/// the deletion), so those indices are removed without a solver call —
-/// the decision matches what the legacy probe would conclude. Indices
-/// inside `seed` are genuinely probed; a successful probe refreshes the
-/// certificate from the probe's own refutation, keeping the invariant.
-fn cdcl_core(pool: &mut TermPool, assertions: &[TermId]) -> Option<Vec<usize>> {
-    let mut seed: Vec<usize> = cdcl_refute(pool, assertions)?
-        .into_iter()
-        .map(|o| o as usize)
-        .collect();
+    let mut seed = refute(pool, assertions)?;
     let mut kept: Vec<usize> = (0..assertions.len()).collect();
     let mut i = 0;
     while i < kept.len() {
@@ -106,15 +64,37 @@ fn cdcl_core(pool: &mut TermPool, assertions: &[TermId]) -> Option<Vec<usize>> {
         }
         let rest: Vec<usize> = kept.iter().copied().filter(|&k| k != idx).collect();
         let terms: Vec<TermId> = rest.iter().map(|&k| assertions[k]).collect();
-        match cdcl_refute(pool, &terms) {
+        match refute(pool, &terms) {
             Some(origins) => {
-                seed = origins.into_iter().map(|o| rest[o as usize]).collect();
+                seed = origins.into_iter().map(|o| rest[o]).collect();
                 kept.remove(i);
             }
             None => i += 1,
         }
     }
     Some(kept)
+}
+
+/// Refutes `terms` with the pool's solver kind, returning a proven-unsat
+/// subset of `0..terms.len()`, or `None` on `Sat`/`Unknown`.
+fn refute(pool: &mut TermPool, terms: &[TermId]) -> Option<Vec<usize>> {
+    match pool.solver_kind() {
+        SolverKind::Cdcl => {
+            let config = SolverConfig::default();
+            let governor = pool.governor().clone();
+            let outcome =
+                cdcl::check_with_core(pool, terms, config.bb_budget, config.dpll_budget, &governor);
+            match outcome {
+                CdclOutcome::Unsat { origins } => {
+                    Some(origins.into_iter().map(|o| o as usize).collect())
+                }
+                _ => None,
+            }
+        }
+        SolverKind::Dpll => check(pool, terms)
+            .is_unsat()
+            .then(|| (0..terms.len()).collect()),
+    }
 }
 
 #[cfg(test)]

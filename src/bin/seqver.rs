@@ -236,16 +236,7 @@ fn parse_steps(govern: &mut GovernorConfig, spec: &str) -> Result<(), String> {
     let budget: u64 = n
         .parse()
         .map_err(|_| format!("invalid budget in --steps `{spec}`"))?;
-    let slot = match category {
-        Category::SimplexPivots => &mut govern.simplex_pivot_budget,
-        Category::DpllDecisions => &mut govern.dpll_decision_budget,
-        Category::CdclConflicts => &mut govern.cdcl_conflict_budget,
-        Category::BranchNodes => &mut govern.branch_node_budget,
-        Category::DfsStates => &mut govern.dfs_state_budget,
-        other => return Err(format!("category `{other}` has no step budget")),
-    };
-    *slot = Some(budget);
-    Ok(())
+    govern.set_step_budget(category, budget)
 }
 
 fn parse_flags(args: &[String]) -> Result<Flags, String> {

@@ -6,7 +6,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`automata`] | `automata` | DFA/NFA substrate |
+//! | [`automata`] | `automata` | DFA substrate |
 //! | [`smt`] | `smt` | QF-LIA SMT solver (simplex + DPLL(T) + cores + projection) |
 //! | [`cpl`] | `cpl` | The CPL concurrent-language frontend |
 //! | [`program`] | `program` | Concurrent program model, commutativity, interpreter |

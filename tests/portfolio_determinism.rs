@@ -3,12 +3,17 @@
 //! list — verdict, winner, per-engine round counts and proof sizes
 //! identical across repeated runs. The determinism contract extends to
 //! certificates: the winning certificate must clear the independent
-//! checker and its serialized text must be byte-identical across runs.
+//! checker and its serialized text must be byte-identical across runs. It
+//! extends to solver work as well: the step counts a governor records are
+//! the same on every run.
 
-use seqver::bench_suite;
+use seqver::bench_suite::{self, generators};
 use seqver::gemcutter::certify::{check_certificate, CertifyMode};
 use seqver::gemcutter::drive::{drive, Run};
-use seqver::gemcutter::verify::{verify, Verdict, VerifierConfig};
+use seqver::gemcutter::engine::{Engine, RoundOutcome};
+use seqver::gemcutter::proof::ProofAutomaton;
+use seqver::gemcutter::verify::{specs_of, verify, Verdict, VerifierConfig};
+use seqver::smt::resource::{Category, ResourceGovernor};
 use seqver::smt::TermPool;
 
 /// The four-engine portfolio the determinism contract is tested with:
@@ -113,5 +118,34 @@ fn seq_and_lockstep_certificates_both_check() {
             .unwrap_or_else(|| panic!("{}: no certificate", config.name));
         let report = check_certificate(&mut pool, &p, &cert, CertifyMode::Full);
         assert!(report.ok, "{}: certificate rejected: {report}", config.name);
+    }
+}
+
+/// Simplex pivots of one full refinement run of `source`, one engine round
+/// at a time under a counting governor.
+fn pivots_of(source: &str) -> u64 {
+    let mut pool = TermPool::new();
+    let program = seqver::cpl::compile(source, &mut pool).expect("generated source compiles");
+    pool.set_governor(ResourceGovernor::builder().build());
+    let config = VerifierConfig::gemcutter_seq();
+    for spec in specs_of(&program) {
+        let mut engine = Engine::new(&mut pool, &program, spec, &config);
+        let mut proof = ProofAutomaton::new();
+        while let RoundOutcome::Refined = engine.round(&mut pool, &program, &mut proof) {}
+    }
+    pool.governor().count(Category::SimplexPivots)
+}
+
+/// `parallel_add` has statements that write two variables at once. Their
+/// SSA encoding must intern its post-state equalities in one fixed order,
+/// or the solver's work (here: simplex pivots) changes from run to run
+/// inside one process, with the same verdict.
+#[test]
+fn solver_work_is_reproducible_within_a_process() {
+    let source = generators::parallel_add(5);
+    let first = pivots_of(&source);
+    assert!(first > 0, "the counting governor saw no pivots");
+    for run in 1..4 {
+        assert_eq!(pivots_of(&source), first, "run {run} diverged from run 0");
     }
 }
