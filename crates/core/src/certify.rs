@@ -911,9 +911,7 @@ fn check_spec_cert(
 
     // --- Structural replay + inclusion (Structural | Full). ---
     if matches!(mode, CertifyMode::Structural | CertifyMode::Full) {
-        replay_reduction(
-            pool, program, sc, &table, &bottoms, &safes, &claims, &ucommute,
-        )?;
+        replay_reduction(program, sc, &table, &bottoms, &safes, &claims, &ucommute)?;
     }
 
     // --- Solver obligations (Full; sampled under Sample). ---
@@ -1025,9 +1023,7 @@ fn check_spec_cert(
 /// the replay demands that the certificate does not justify is a reject.
 /// The replayed reduction is then re-checked as a language inclusion
 /// against the annotation automaton via `crates/automata`.
-#[allow(clippy::too_many_arguments)]
 fn replay_reduction(
-    pool: &TermPool,
     program: &Program,
     sc: &SpecCert,
     table: &HashMap<(u32, u32), u32>,
@@ -1036,7 +1032,6 @@ fn replay_reduction(
     claims: &HashSet<(u32, u32, u32)>,
     ucommute: &HashSet<(u32, u32)>,
 ) -> Result<(), String> {
-    let _ = pool;
     let spec = sc.spec.to_spec();
     let membrane_mode = match spec {
         Spec::PrePost => MembraneMode::Terminal,

@@ -25,13 +25,14 @@
 //!   ([`Run::checkpoint`]) make a killed run resumable with the same
 //!   verdict and cumulative round count ([`Run::resume`]).
 //!
-//! **Counters.** Every member's engine folds through
-//! [`RunStats::add_engine`]; `hoare_checks` sums the shared proofs' counts
-//! over specs, read before any certificate-recording walk. Query-cache
-//! counters follow one rule: the delta of the run's cache between the start
-//! and the end of [`drive`] — engine set-up, rounds and certificate
-//! recording included, across attempts — or zero when no member uses the
-//! cache. The delta is exact when nothing else uses the cache concurrently.
+//! **Counters.** Each engine accumulates its own [`RunStats`]; each spec
+//! phase folds every member's record, plus one record carrying the shared
+//! proof's `hoare_checks` (read before any certificate-recording walk) and
+//! size, through [`RunStats::merge`]. Query-cache counters follow one
+//! rule: the delta of the run's cache between the start and the end of
+//! [`drive`] — engine set-up, rounds and certificate recording included,
+//! across attempts — or zero when no member uses the cache. The delta is
+//! exact when nothing else uses the cache concurrently.
 //!
 //! **Soundness of recycling.** Seeds are only ever *candidate* assertions:
 //! the proof automaton re-validates every transition with a Hoare query and
@@ -39,7 +40,7 @@
 //! adversarial seed costs completeness, never soundness.
 
 use crate::certify::{CertSpec, Certificate, SpecCert};
-use crate::engine::{Engine, EngineStats, RoundOutcome};
+use crate::engine::{Engine, RoundOutcome};
 use crate::govern::{
     panic_reason, push_give_up_deduped, AttributedGiveUp, Category, GiveUp, ResourceGovernor,
 };
@@ -432,7 +433,7 @@ struct Seat {
 }
 
 impl Seat {
-    fn stats(&self) -> EngineStats {
+    fn stats(&self) -> RunStats {
         self.engine.as_ref().map(|e| e.stats).unwrap_or_default()
     }
 
@@ -618,7 +619,7 @@ impl Ladder {
         let (end, winner) = loop {
             let Some(i) = (0..members.len())
                 .filter(|&i| gave_up[i].is_none())
-                .min_by_key(|&i| seats[i].stats().visited)
+                .min_by_key(|&i| seats[i].stats().visited_states)
             else {
                 break (End::GaveUp(all_gave_up(&gave_up)), None);
             };
@@ -639,7 +640,7 @@ impl Ladder {
         let proof_size = proof.proof_size();
         for (i, ((member, seat), g)) in members.iter().zip(&seats).zip(gave_up).enumerate() {
             let stats = seat.stats();
-            self.stats.add_engine(&stats);
+            self.stats.merge(&stats);
             let status = match g {
                 Some(g) => {
                     let entry = AttributedGiveUp::new(&member.config.name, g.clone());
@@ -660,9 +661,11 @@ impl Ladder {
         let (proven_hoare_checks, cert) = winner.map_or((None, None), |w| {
             (seats[w].proven_hoare_checks, seats[w].cert.take())
         });
-        self.stats.hoare_checks +=
-            proven_hoare_checks.unwrap_or_else(|| proof.stats().hoare_checks);
-        self.stats.proof_size = self.stats.proof_size.max(proof_size);
+        self.stats.merge(&RunStats {
+            hoare_checks: proven_hoare_checks.unwrap_or_else(|| proof.stats().hoare_checks),
+            proof_size,
+            ..RunStats::default()
+        });
         let harvest = export(pool, proof.assertions());
         self.harvest.extend(&harvest);
         match end {

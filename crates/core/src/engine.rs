@@ -15,9 +15,9 @@ use crate::check::{
     check_proof, record_reduction, CheckConfig, CheckResult, CheckStats, UselessCache,
 };
 use crate::govern::{Category, GiveUp};
-use crate::interpolate::{analyze_trace, InterpolationStats, TraceResult};
+use crate::interpolate::{analyze_trace, TraceResult};
 use crate::proof::ProofAutomaton;
-use crate::verify::{OrderSpec, VerifierConfig};
+use crate::verify::{OrderSpec, RunStats, VerifierConfig};
 use program::commutativity::CommutativityOracle;
 use program::concurrent::{LetterId, Program, Spec};
 use reduction::order::PreferenceOrder;
@@ -92,35 +92,13 @@ impl TraceHistory {
     }
 }
 
-/// Cumulative per-engine counters.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EngineStats {
-    /// Rounds executed.
-    pub rounds: usize,
-    /// Visited proof-check states, cumulative.
-    pub visited: usize,
-    /// Largest single-round visited count.
-    pub max_round_visited: usize,
-    /// Useless-cache skips.
-    pub cache_skips: usize,
-    /// Useless-cache probes (skips are the hits).
-    pub useless_probes: usize,
-    /// Useless-cache entries after the most recent round (a gauge).
-    pub useless_len: usize,
-    /// Proven rounds whose certificate was dropped because the recording
-    /// walk tripped its state budget or the resource governor.
-    pub certs_dropped: usize,
-    /// Interpolation counters.
-    pub interpolation: InterpolationStats,
-}
-
 /// Per-preference-order verification state, advanced one round at a time
 /// against a (possibly shared) proof automaton.
 pub struct Engine {
     /// Display name (the configuration's).
     pub name: String,
-    /// Counters.
-    pub stats: EngineStats,
+    /// This engine's counters; `useless_len` is its cache's current size.
+    pub stats: RunStats,
     spec: Spec,
     order: Box<dyn PreferenceOrder>,
     order_spec: OrderSpec,
@@ -146,7 +124,7 @@ impl Engine {
             .then(|| PersistentSets::new(pool, program, &mut oracle));
         Engine {
             name: config.name.clone(),
-            stats: EngineStats::default(),
+            stats: RunStats::default(),
             spec,
             order: config.order.build(),
             order_spec: config.order.clone(),
@@ -217,7 +195,7 @@ impl Engine {
         proof: &mut ProofAutomaton,
     ) -> RoundOutcome {
         self.stats.rounds += 1;
-        let mut round_stats = CheckStats::default();
+        let mut round = CheckStats::default();
         let result = check_proof(
             pool,
             program,
@@ -228,12 +206,15 @@ impl Engine {
             proof,
             &mut self.useless,
             &self.check_config,
-            &mut round_stats,
+            &mut round,
         );
-        self.stats.visited += round_stats.visited;
-        self.stats.max_round_visited = self.stats.max_round_visited.max(round_stats.visited);
-        self.stats.cache_skips += round_stats.cache_skips;
-        self.stats.useless_probes += round_stats.useless_probes;
+        self.stats.merge(&RunStats {
+            visited_states: round.visited,
+            max_round_visited: round.visited,
+            cache_skips: round.cache_skips,
+            useless_probes: round.useless_probes,
+            ..RunStats::default()
+        });
         self.stats.useless_len = self.useless.len();
         match result {
             CheckResult::Proven => RoundOutcome::Proven,

@@ -9,7 +9,6 @@
 
 use crate::certify::Certificate;
 use crate::drive::{drive, Run};
-use crate::engine::EngineStats;
 use crate::govern::{Category, GiveUp, GovernorConfig};
 use crate::interpolate::{InterpolationMode, InterpolationStats};
 use program::commutativity::CommutativityLevel;
@@ -231,8 +230,11 @@ impl Verdict {
     }
 }
 
-/// Aggregated run statistics (the quantities reported in Tables 1–2).
-#[derive(Clone, Debug, Default)]
+/// Aggregated run statistics (the quantities reported in Tables 1–2): the
+/// one counter record. An engine accumulates into one, the driver and the
+/// daemon fold records with [`RunStats::merge`], and every report reads
+/// [`RunStats::counters`].
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RunStats {
     /// Refinement rounds across all analyses.
     pub rounds: usize,
@@ -250,8 +252,8 @@ pub struct RunStats {
     pub cache_skips: usize,
     /// Useless-cache probes (skips are the hits; misses are the rest).
     pub useless_probes: usize,
-    /// Useless-cache entries at the end of the run (a gauge; for multi-
-    /// engine runs, summed over engines).
+    /// Useless-cache entries at the end of the run (a gauge the engine
+    /// assigns; for multi-engine runs, summed over engines).
     pub useless_len: usize,
     /// Wall-clock time of the whole run.
     pub time: Duration,
@@ -269,18 +271,49 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Folds one engine's counters into the run totals. The driver reports
-    /// every engine through this one fold.
-    pub fn add_engine(&mut self, engine: &EngineStats) {
-        self.rounds += engine.rounds;
-        self.visited_states += engine.visited;
-        self.max_round_visited = self.max_round_visited.max(engine.max_round_visited);
-        self.cache_skips += engine.cache_skips;
-        self.useless_probes += engine.useless_probes;
-        self.useless_len += engine.useless_len;
-        self.certs_dropped += engine.certs_dropped;
-        self.interpolation.feasibility_checks += engine.interpolation.feasibility_checks;
-        self.interpolation.sliced_statements += engine.interpolation.sliced_statements;
+    /// Folds `other` into `self`: the one fold of every counter. Proof
+    /// size and the largest round are maxima; everything else sums.
+    pub fn merge(&mut self, other: &RunStats) {
+        self.rounds += other.rounds;
+        self.proof_size = self.proof_size.max(other.proof_size);
+        self.visited_states += other.visited_states;
+        self.max_round_visited = self.max_round_visited.max(other.max_round_visited);
+        self.hoare_checks += other.hoare_checks;
+        self.cache_skips += other.cache_skips;
+        self.useless_probes += other.useless_probes;
+        self.useless_len += other.useless_len;
+        self.time += other.time;
+        self.interpolation.feasibility_checks += other.interpolation.feasibility_checks;
+        self.interpolation.sliced_statements += other.interpolation.sliced_statements;
+        self.qcache_hits += other.qcache_hits;
+        self.qcache_misses += other.qcache_misses;
+        self.certs_dropped += other.certs_dropped;
+    }
+
+    /// Every counter as `(key, value)`, wall time excluded: what the CLI
+    /// stats line prints and the daemon's `stats` reply reports.
+    pub fn counters(&self) -> Vec<(&'static str, u64)> {
+        vec![
+            ("rounds", self.rounds as u64),
+            ("proof_size", self.proof_size as u64),
+            ("visited", self.visited_states as u64),
+            ("hoare_checks", self.hoare_checks as u64),
+            ("qcache_hits", self.qcache_hits),
+            ("qcache_misses", self.qcache_misses),
+            ("useless_hits", self.cache_skips as u64),
+            ("useless_probes", self.useless_probes as u64),
+            ("useless_len", self.useless_len as u64),
+            ("max_round_visited", self.max_round_visited as u64),
+            ("certs_dropped", self.certs_dropped as u64),
+            (
+                "feasibility_checks",
+                self.interpolation.feasibility_checks as u64,
+            ),
+            (
+                "sliced_statements",
+                self.interpolation.sliced_statements as u64,
+            ),
+        ]
     }
 
     /// Average time per refinement round (Table 2's metric).

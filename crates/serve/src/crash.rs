@@ -29,8 +29,8 @@ pub enum CrashSite {
     /// must NOT have been acknowledged.
     PostAppend,
     /// Journal write+fsync completed, response not yet sent: the record
-    /// is durable but the client never heard so. Supersedes the old
-    /// `--crash-after N` (abort after the N-th persisted verdict).
+    /// is durable but the client never heard so: `post-fsync:N` aborts
+    /// after the N-th persisted verdict.
     PostFsync,
     /// Mid-compaction: the new snapshot's bytes are in the temp file but
     /// the temp file is not yet fsynced.

@@ -1,14 +1,13 @@
 //! The `seqver serve` daemon.
 //!
-//! Architecture (all `std`, following `gemcutter::portfolio`'s
-//! worker-thread idiom):
+//! Architecture (all `std` threads and channels):
 //!
 //! ```text
 //!  acceptor (nonblocking, polls the shutdown flag)
 //!    └─ connection threads: framing, parsing, admission control
-//!         └─ bounded job queue ──► N worker threads (one TermPool clone
-//!            each, sharing one QueryCache), each request supervised by
-//!            its own ResourceGovernor budget + escalation ladder
+//!         └─ bounded job queue ──► N worker threads (a fresh TermPool per
+//!            request, all sharing one QueryCache), each request supervised
+//!            by its own ResourceGovernor budget + escalation ladder
 //!                └─ proof store (SharedStore): lookup before; journal
 //!                   append + group-commit fsync *before* the response
 //!                   (acknowledged means durable)
@@ -53,7 +52,7 @@ use gemcutter::certify::{check_certificate, CertifyMode};
 use gemcutter::drive::{drive, RetryPolicy, Run};
 use gemcutter::govern::{Category, FaultPlan};
 use gemcutter::snapshot::program_fingerprint;
-use gemcutter::verify::{Verdict, VerifierConfig};
+use gemcutter::verify::{RunStats, Verdict, VerifierConfig};
 use smt::qcache::QueryCache;
 use smt::term::TermPool;
 use std::collections::HashSet;
@@ -88,14 +87,11 @@ pub struct ServeConfig {
     /// `retries:` option wins).
     pub retries: u32,
     /// Crash-point injection plan (`--crash-at SITE:N`): deterministic
-    /// `abort()`s at named durability sites, for the crash sweep. The old
-    /// `--crash-after N` maps to `post-fsync:N`.
+    /// `abort()`s at named durability sites, for the crash sweep.
     pub crash_plan: Arc<CrashPlan>,
     /// Compact once the journal outgrows this multiple of the snapshot
     /// size.
     pub journal_max_ratio: f64,
-    /// How many query-cache entries to persist alongside the records.
-    pub qcache_persist: usize,
     /// Certificate audit tier for warm hits (`--certify MODE`): a stored
     /// verdict is only served after its certificate clears the
     /// independent checker at this tier; a failing certificate
@@ -122,7 +118,6 @@ impl Default for ServeConfig {
             retries: 0,
             crash_plan: Arc::default(),
             journal_max_ratio: 4.0,
-            qcache_persist: 2048,
             certify: CertifyMode::default(),
             cert_faults: Arc::default(),
         }
@@ -138,6 +133,8 @@ const POLL_TICK: Duration = Duration::from_millis(25);
 const COMPACT_TICK: Duration = Duration::from_millis(100);
 /// How long `run` waits for connections to drain after shutdown.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
+/// How many query-cache entries to persist alongside the records.
+const QCACHE_PERSIST: usize = 2048;
 
 /// One queued verification.
 struct Job {
@@ -157,23 +154,10 @@ struct Shared {
     inflight: AtomicUsize,
     /// Open connections (drain accounting).
     connections: AtomicUsize,
-    requests: AtomicU64,
-    ok: AtomicU64,
-    errors: AtomicU64,
-    busy_shed: AtomicU64,
-    protocol_errors: AtomicU64,
-    panics_contained: AtomicU64,
-    workers_replaced: AtomicU64,
-    store_hits: AtomicU64,
-    warm_starts: AtomicU64,
-    certs_checked: AtomicU64,
-    certs_passed: AtomicU64,
-    certs_quarantined: AtomicU64,
-    certs_dropped: AtomicU64,
-    /// Useless-cache counters, aggregated from each request's run stats
-    /// (daemon-wide, like the `certs-*` family).
-    useless_probes: AtomicU64,
-    useless_hits: AtomicU64,
+    /// The daemon's own counters.
+    counters: [AtomicU64; Counter::ALL.len()],
+    /// Every cold request's run counters, folded with [`RunStats::merge`].
+    runs: Mutex<RunStats>,
     /// Fingerprints whose stored certificate already cleared the sample
     /// audit in this process. In-memory records are immutable between
     /// replacement and quarantine, so re-auditing identical bytes on
@@ -189,96 +173,85 @@ struct Shared {
     latencies_ms: Mutex<LatencyRing>,
 }
 
+/// The daemon's own counters, one slot each in [`Shared::counters`].
+#[derive(Clone, Copy)]
+enum Counter {
+    Requests,
+    Ok,
+    Errors,
+    Busy,
+    ProtocolErrors,
+    PanicsContained,
+    WorkersReplaced,
+    StoreHits,
+    WarmStarts,
+    CertsChecked,
+    CertsPassed,
+    CertsQuarantined,
+}
+
+impl Counter {
+    /// Every counter with its `stats` key, in slot order.
+    const ALL: [(Counter, &'static str); 12] = [
+        (Counter::Requests, "requests"),
+        (Counter::Ok, "ok"),
+        (Counter::Errors, "errors"),
+        (Counter::Busy, "busy"),
+        (Counter::ProtocolErrors, "protocol-errors"),
+        (Counter::PanicsContained, "panics-contained"),
+        (Counter::WorkersReplaced, "workers-replaced"),
+        (Counter::StoreHits, "store-hits"),
+        (Counter::WarmStarts, "warm-starts"),
+        (Counter::CertsChecked, "certs-checked"),
+        (Counter::CertsPassed, "certs-passed"),
+        (Counter::CertsQuarantined, "certs-quarantined"),
+    ];
+}
+
 impl Shared {
-    fn stats_info(&self) -> Vec<(String, String)> {
-        let mut info = vec![
-            (
-                "requests".to_owned(),
-                self.requests.load(Ordering::Relaxed).to_string(),
-            ),
-            ("ok".to_owned(), self.ok.load(Ordering::Relaxed).to_string()),
-            (
-                "errors".to_owned(),
-                self.errors.load(Ordering::Relaxed).to_string(),
-            ),
-            (
-                "busy".to_owned(),
-                self.busy_shed.load(Ordering::Relaxed).to_string(),
-            ),
-            (
-                "protocol-errors".to_owned(),
-                self.protocol_errors.load(Ordering::Relaxed).to_string(),
-            ),
-            (
-                "panics-contained".to_owned(),
-                self.panics_contained.load(Ordering::Relaxed).to_string(),
-            ),
-            (
-                "workers-replaced".to_owned(),
-                self.workers_replaced.load(Ordering::Relaxed).to_string(),
-            ),
-            (
-                "store-hits".to_owned(),
-                self.store_hits.load(Ordering::Relaxed).to_string(),
-            ),
-            (
-                "warm-starts".to_owned(),
-                self.warm_starts.load(Ordering::Relaxed).to_string(),
-            ),
-            (
-                "certs-checked".to_owned(),
-                self.certs_checked.load(Ordering::Relaxed).to_string(),
-            ),
-            (
-                "certs-passed".to_owned(),
-                self.certs_passed.load(Ordering::Relaxed).to_string(),
-            ),
-            (
-                "certs-quarantined".to_owned(),
-                self.certs_quarantined.load(Ordering::Relaxed).to_string(),
-            ),
-            (
-                "certs-dropped".to_owned(),
-                self.certs_dropped.load(Ordering::Relaxed).to_string(),
-            ),
-            (
-                "useless-probes".to_owned(),
-                self.useless_probes.load(Ordering::Relaxed).to_string(),
-            ),
-            (
-                "useless-hits".to_owned(),
-                self.useless_hits.load(Ordering::Relaxed).to_string(),
-            ),
-            (
-                "store-records".to_owned(),
-                self.store.lock().len().to_string(),
-            ),
-        ];
-        {
-            let store = self.store.lock();
-            let js = store.stats();
-            info.push(("journal-appends".to_owned(), js.appends.to_string()));
-            info.push(("journal-fsyncs".to_owned(), js.fsyncs.to_string()));
-            info.push(("compactions".to_owned(), js.compactions.to_string()));
-            info.push((
-                "journal-bytes".to_owned(),
-                store.journal_bytes().to_string(),
-            ));
-            info.push((
-                "snapshot-bytes".to_owned(),
-                store.snapshot_bytes().to_string(),
-            ));
-            info.push(("durable-seq".to_owned(), store.durable_seq().to_string()));
-        }
-        let qc = self.cache.stats();
-        info.push(("qcache-hits".to_owned(), qc.hits.to_string()));
-        info.push(("qcache-misses".to_owned(), qc.misses.to_string()));
-        info.push(("qcache-evictions".to_owned(), qc.evictions.to_string()));
+    fn bump(&self, counter: Counter) {
+        self.counters[counter as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Every daemon-wide metric as `(key, value)`: the daemon's counters,
+    /// the folded run counters (`_` spelled `-`; the `qcache` pair is the
+    /// shared cache's below), the store, the cache and the latency ring.
+    fn metrics(&self) -> Vec<(String, u64)> {
+        let mut out: Vec<(String, u64)> = Counter::ALL
+            .iter()
+            .zip(&self.counters)
+            .map(|((_, key), n)| (key.to_string(), n.load(Ordering::Relaxed)))
+            .collect();
+        let runs = *self.runs.lock().expect("runs");
+        out.extend(
+            runs.counters()
+                .into_iter()
+                .filter(|(key, _)| !key.starts_with("qcache_"))
+                .map(|(key, n)| (key.replace('_', "-"), n)),
+        );
         let (p50, p95, max) = self.latencies_ms.lock().expect("latencies").percentiles();
-        info.push(("latency-p50-ms".to_owned(), p50.to_string()));
-        info.push(("latency-p95-ms".to_owned(), p95.to_string()));
-        info.push(("latency-max-ms".to_owned(), max.to_string()));
-        info
+        let qc = self.cache.stats();
+        let store = self.store.lock();
+        let js = store.stats();
+        out.extend(
+            [
+                ("store-records", store.len() as u64),
+                ("journal-appends", js.appends),
+                ("journal-fsyncs", js.fsyncs),
+                ("compactions", js.compactions),
+                ("journal-bytes", store.journal_bytes()),
+                ("snapshot-bytes", store.snapshot_bytes()),
+                ("durable-seq", store.durable_seq()),
+                ("qcache-hits", qc.hits),
+                ("qcache-misses", qc.misses),
+                ("qcache-evictions", qc.evictions),
+                ("latency-p50-ms", p50),
+                ("latency-p95-ms", p95),
+                ("latency-max-ms", max),
+            ]
+            .map(|(key, n)| (key.to_owned(), n)),
+        );
+        out
     }
 }
 
@@ -348,21 +321,8 @@ impl Server {
             cache,
             inflight: AtomicUsize::new(0),
             connections: AtomicUsize::new(0),
-            requests: AtomicU64::new(0),
-            ok: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            busy_shed: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            panics_contained: AtomicU64::new(0),
-            workers_replaced: AtomicU64::new(0),
-            store_hits: AtomicU64::new(0),
-            warm_starts: AtomicU64::new(0),
-            certs_checked: AtomicU64::new(0),
-            certs_passed: AtomicU64::new(0),
-            certs_quarantined: AtomicU64::new(0),
-            certs_dropped: AtomicU64::new(0),
-            useless_probes: AtomicU64::new(0),
-            useless_hits: AtomicU64::new(0),
+            counters: Default::default(),
+            runs: Mutex::default(),
             certs_audited: Mutex::new(HashSet::new()),
             latencies_ms: Mutex::new(LatencyRing::default()),
         });
@@ -421,7 +381,7 @@ impl Server {
                             .store
                             .needs_compaction(shared.config.journal_max_ratio)
                         {
-                            let entries = shared.cache.export_entries(shared.config.qcache_persist);
+                            let entries = shared.cache.export_entries(QCACHE_PERSIST);
                             if let Err(e) = shared.store.compact_with_qcache(entries) {
                                 eprintln!("warning: journal compaction failed: {e}");
                             }
@@ -446,7 +406,7 @@ impl Server {
                             serve_connection(&shared, stream, &job_tx)
                         }));
                         if result.is_err() {
-                            shared.panics_contained.fetch_add(1, Ordering::Relaxed);
+                            shared.bump(Counter::PanicsContained);
                         }
                         shared.connections.fetch_sub(1, Ordering::Relaxed);
                     });
@@ -475,7 +435,7 @@ impl Server {
         // Final fold: persist the query-cache working set and leave the
         // journal empty, so a clean shutdown hands the next daemon a
         // single complete snapshot.
-        let entries = shared.cache.export_entries(shared.config.qcache_persist);
+        let entries = shared.cache.export_entries(QCACHE_PERSIST);
         let mut store = shared.store.lock();
         store.set_qcache_entries(entries);
         store.flush()?;
@@ -522,9 +482,9 @@ fn spawn_worker(
                     // may be poisoned, so it exits after spawning a fresh
                     // replacement; the defective request gets a structured
                     // error and its siblings keep flowing.
-                    shared.panics_contained.fetch_add(1, Ordering::Relaxed);
-                    shared.workers_replaced.fetch_add(1, Ordering::Relaxed);
-                    shared.errors.fetch_add(1, Ordering::Relaxed);
+                    shared.bump(Counter::PanicsContained);
+                    shared.bump(Counter::WorkersReplaced);
+                    shared.bump(Counter::Errors);
                     let reason = gemcutter::govern::panic_reason(payload.as_ref());
                     let response =
                         Response::error(&job.id, format!("request panicked (contained): {reason}"));
@@ -548,10 +508,10 @@ fn handle_verify(shared: &Shared, job: &Job) -> Response {
         response.time_ms = start.elapsed().as_millis() as u64;
         match response.status {
             Some(Status::Error) => {
-                shared.errors.fetch_add(1, Ordering::Relaxed);
+                shared.bump(Counter::Errors);
             }
             _ => {
-                shared.ok.fetch_add(1, Ordering::Relaxed);
+                shared.bump(Counter::Ok);
             }
         }
         shared
@@ -562,7 +522,7 @@ fn handle_verify(shared: &Shared, job: &Job) -> Response {
         response
     };
 
-    // Test hook (the wire-level sibling of `crash_after`): every panic a
+    // Test hook (the wire-level sibling of `--crash-at`): every panic a
     // fault plan can inject is already contained one layer down, inside
     // the driver's round-level `catch_unwind`, so this is the only
     // deterministic way to exercise the worker's own outermost
@@ -618,10 +578,10 @@ fn handle_verify(shared: &Shared, job: &Job) -> Response {
                     .config
                     .cert_faults
                     .hit(CertFaultSite::StoreServe, &mut cert);
-                shared.certs_checked.fetch_add(1, Ordering::Relaxed);
+                shared.bump(Counter::CertsChecked);
                 let report = check_certificate(&mut pool, &program, &cert, mode);
                 if report.ok {
-                    shared.certs_passed.fetch_add(1, Ordering::Relaxed);
+                    shared.bump(Counter::CertsPassed);
                     if mode == CertifyMode::Sample {
                         shared
                             .certs_audited
@@ -637,7 +597,7 @@ fn handle_verify(shared: &Shared, job: &Job) -> Response {
                         program.name(),
                         mode.name(),
                     );
-                    shared.certs_quarantined.fetch_add(1, Ordering::Relaxed);
+                    shared.bump(Counter::CertsQuarantined);
                     shared
                         .certs_audited
                         .lock()
@@ -655,7 +615,7 @@ fn handle_verify(shared: &Shared, job: &Job) -> Response {
             (_, None) => false,
         };
         if audited {
-            shared.store_hits.fetch_add(1, Ordering::Relaxed);
+            shared.bump(Counter::StoreHits);
             let verdict = match &stored_verdict {
                 StoredVerdict::Correct => WireVerdict::Correct,
                 StoredVerdict::Incorrect(trace) => WireVerdict::Incorrect(trace.clone()),
@@ -685,7 +645,7 @@ fn handle_verify(shared: &Shared, job: &Job) -> Response {
         .warm_assertions(program.name(), fingerprint);
     warm.truncate(MAX_WARM_SEEDS);
     if !warm.is_empty() {
-        shared.warm_starts.fetch_add(1, Ordering::Relaxed);
+        shared.bump(Counter::WarmStarts);
     }
 
     let mut config = VerifierConfig::gemcutter_seq();
@@ -720,15 +680,7 @@ fn handle_verify(shared: &Shared, job: &Job) -> Response {
         ..Run::single(&config)
     };
     let sup = drive(&mut pool, &program, &run);
-    shared
-        .useless_probes
-        .fetch_add(sup.outcome.stats.useless_probes as u64, Ordering::Relaxed);
-    shared
-        .useless_hits
-        .fetch_add(sup.outcome.stats.cache_skips as u64, Ordering::Relaxed);
-    shared
-        .certs_dropped
-        .fetch_add(sup.outcome.stats.certs_dropped as u64, Ordering::Relaxed);
+    shared.runs.lock().expect("runs").merge(&sup.outcome.stats);
 
     let mut response = Response {
         id: job.id.clone(),
@@ -801,9 +753,8 @@ fn handle_verify(shared: &Shared, job: &Job) -> Response {
         }
         // Deterministic kill -9 at the worst moment: the work is durable,
         // the response is not. Recovery tests restart and must re-serve
-        // the finished prefix from the store. Charged per persisted
-        // definitive verdict so the old `--crash-after N` keeps counting
-        // the same events it always did.
+        // the finished prefix from the store. Charged once per persisted
+        // definitive verdict.
         shared.config.crash_plan.hit(CrashSite::PostFsync);
     }
     finish(response, shared)
@@ -844,7 +795,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream, job_tx: &Sender<Job>) {
                 continue;
             }
             Err(e) => {
-                shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                shared.bump(Counter::ProtocolErrors);
                 // Best-effort structured goodbye; the framing layer is
                 // compromised, so the connection closes either way.
                 let goodbye = Response::error("", e.to_string());
@@ -855,12 +806,12 @@ fn serve_connection(shared: &Shared, stream: TcpStream, job_tx: &Sender<Job>) {
                 break;
             }
         };
-        shared.requests.fetch_add(1, Ordering::Relaxed);
+        shared.bump(Counter::Requests);
         let request = match Request::parse(&frame) {
             Ok(request) => request,
             Err(e) => {
-                shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                shared.errors.fetch_add(1, Ordering::Relaxed);
+                shared.bump(Counter::ProtocolErrors);
+                shared.bump(Counter::Errors);
                 batch.errors += 1;
                 let resp = Response::error("", format!("bad request: {e}"));
                 if write_frame(&mut write_half, &resp.to_text()).is_err() {
@@ -879,7 +830,11 @@ fn serve_connection(shared: &Shared, stream: TcpStream, job_tx: &Sender<Job>) {
             Command::Stats => Response {
                 id: request.id,
                 status: Some(Status::Ok),
-                info: shared.stats_info(),
+                info: shared
+                    .metrics()
+                    .into_iter()
+                    .map(|(key, n)| (key, n.to_string()))
+                    .collect(),
                 ..Response::default()
             },
             Command::Shutdown => {
@@ -919,7 +874,7 @@ fn dispatch_verify(
     loop {
         let current = shared.inflight.load(Ordering::Relaxed);
         if current >= cap {
-            shared.busy_shed.fetch_add(1, Ordering::Relaxed);
+            shared.bump(Counter::Busy);
             batch.shed += 1;
             return Response::busy(&id, RETRY_AFTER);
         }
@@ -954,7 +909,7 @@ fn dispatch_verify(
     match reply_rx.recv_timeout(backstop) {
         Ok(response) => response,
         Err(_) => {
-            shared.errors.fetch_add(1, Ordering::Relaxed);
+            shared.bump(Counter::Errors);
             Response::error(&id, "request worker lost")
         }
     }
@@ -993,6 +948,7 @@ impl BatchStats {
         }
     }
 
+    /// This connection's counts, then every daemon-wide metric.
     fn render(&self, shared: &Shared) -> String {
         let (p50, p95, max) = self.latencies_ms.percentiles();
         let hit_rate = if self.verifications == 0 {
@@ -1000,35 +956,28 @@ impl BatchStats {
         } else {
             self.store_hits as f64 / self.verifications as f64
         };
-        format!(
-            "batch: served={} ok={} errors={} shed={} store-hits={} hit-rate={:.2} warm-starts={} \
-             certs-checked={} certs-passed={} certs-quarantined={} certs-dropped={} \
-             useless-probes={} useless-hits={} \
-             p50-ms={} p95-ms={} max-ms={} qcache-evictions={}",
-            self.served,
-            self.ok,
-            self.errors,
-            self.shed,
-            self.store_hits,
-            hit_rate,
-            self.warm_starts,
-            shared.certs_checked.load(Ordering::Relaxed),
-            shared.certs_passed.load(Ordering::Relaxed),
-            shared.certs_quarantined.load(Ordering::Relaxed),
-            shared.certs_dropped.load(Ordering::Relaxed),
-            shared.useless_probes.load(Ordering::Relaxed),
-            shared.useless_hits.load(Ordering::Relaxed),
-            p50,
-            p95,
-            max,
-            shared.cache.stats().evictions,
-        )
+        let mut line = format!(
+            "batch: served={} ok={} errors={} shed={} store-hits={} hit-rate={hit_rate:.2} \
+             warm-starts={} p50-ms={p50} p95-ms={p95} max-ms={max} daemon:",
+            self.served, self.ok, self.errors, self.shed, self.store_hits, self.warm_starts,
+        );
+        for (key, n) in shared.metrics() {
+            line.push_str(&format!(" {key}={n}"));
+        }
+        line
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn counter_slots_follow_the_name_table() {
+        for (slot, (counter, _)) in Counter::ALL.iter().enumerate() {
+            assert_eq!(*counter as usize, slot);
+        }
+    }
 
     #[test]
     fn latency_ring_stays_at_capacity() {

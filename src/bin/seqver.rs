@@ -58,7 +58,7 @@ const USAGE: &str = "usage:
   seqver serve  [--addr HOST:PORT] [--store PATH] [--max-inflight N]
                 [--queue-depth N] [--request-timeout DUR] [--io-timeout DUR]
                 [--idle-timeout DUR] [--retries N] [--journal-max-ratio F]
-                [--crash-at SITE:N] [--crash-after N]
+                [--crash-at SITE:N]
                 [--certify off|structural|sample|full] [--cert-fault SITE:KIND:N]
   seqver submit <file.cpl>... --addr HOST:PORT [--timeout DUR] [--steps CAT=N]
                 [--retries N] [--faults SPEC] [--retry-busy N]
@@ -119,8 +119,6 @@ serve flags:
                    durability site, comma-separable; sites: pre-append,
                    post-append, post-fsync, compact-tmp, pre-rename,
                    post-rename (deterministic kill -9 for crash sweeps)
-  --crash-after N  shorthand for --crash-at post-fsync:N (kept for
-                   compatibility with older recovery drills)
   --certify MODE   certificate audit tier for warm hits (default sample):
                    a stored verdict is served only after its certificate
                    clears the independent checker; a failing certificate
@@ -364,55 +362,41 @@ fn governed_portfolio(flags: &Flags) -> Vec<VerifierConfig> {
     members
 }
 
-/// SIGINT routing for checkpointed runs: the handler raises a flag the
-/// supervisor polls at round boundaries (write final checkpoint, exit 3).
+/// The flag the signal handler raises: SIGINT on a checkpointed run (the
+/// driver polls it at round boundaries, writes a final checkpoint and exits
+/// 3), SIGINT and SIGTERM on the daemon (stop accepting, finish in-flight
+/// requests, flush the store, exit 0).
 static INTERRUPT: OnceLock<Arc<AtomicBool>> = OnceLock::new();
 
-extern "C" fn on_sigint(_signum: i32) {
+const SIGINT: i32 = 2;
+const SIGTERM: i32 = 15;
+
+extern "C" fn on_signal(_signum: i32) {
     if let Some(flag) = INTERRUPT.get() {
         flag.store(true, Ordering::Relaxed);
     }
 }
 
-/// Installs the SIGINT hook and returns the flag it raises. Uses libc's
-/// `signal` directly (already linked through std) to avoid a dependency.
-#[cfg(unix)]
-fn install_sigint() -> Arc<AtomicBool> {
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
+/// Routes `signals` to `flag` and returns it. Uses libc's `signal`
+/// directly (already linked through std) to avoid a dependency; on other
+/// platforms the flag is only returned.
+fn route_signals(signals: &[i32], flag: Arc<AtomicBool>) -> Arc<AtomicBool> {
+    let flag = Arc::clone(INTERRUPT.get_or_init(|| flag));
+    #[cfg(unix)]
+    for &signum in signals {
+        extern "C" {
+            fn signal(signum: i32, handler: usize) -> usize;
+        }
+        // SAFETY: `signal` takes a signal number and a handler address;
+        // `on_signal` is an `extern "C" fn(i32)` that only does an atomic
+        // store through a `OnceLock` set above, which is async-signal-safe.
+        unsafe {
+            signal(signum, on_signal as *const () as usize);
+        }
     }
-    const SIGINT: i32 = 2;
-    let flag = Arc::clone(INTERRUPT.get_or_init(|| Arc::new(AtomicBool::new(false))));
-    unsafe {
-        signal(SIGINT, on_sigint as *const () as usize);
-    }
+    #[cfg(not(unix))]
+    let _ = signals;
     flag
-}
-
-#[cfg(not(unix))]
-fn install_sigint() -> Arc<AtomicBool> {
-    Arc::clone(INTERRUPT.get_or_init(|| Arc::new(AtomicBool::new(false))))
-}
-
-/// Routes SIGINT *and* SIGTERM to `flag` — the daemon's drain trigger
-/// (stop accepting, finish in-flight requests, flush the store, exit 0).
-#[cfg(unix)]
-fn install_shutdown_signals(flag: Arc<AtomicBool>) {
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    let _ = INTERRUPT.set(flag);
-    unsafe {
-        signal(SIGINT, on_sigint as *const () as usize);
-        signal(SIGTERM, on_sigint as *const () as usize);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_shutdown_signals(flag: Arc<AtomicBool>) {
-    let _ = INTERRUPT.set(flag);
 }
 
 fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
@@ -462,7 +446,10 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
             retry,
             resume,
             checkpoint: flags.checkpoint.clone(),
-            interrupt: flags.checkpoint.is_some().then(install_sigint),
+            interrupt: flags
+                .checkpoint
+                .is_some()
+                .then(|| route_signals(&[SIGINT], Arc::default())),
             ..Run::default()
         };
         let result = drive(&mut pool, &program, &run);
@@ -527,18 +514,15 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
             }
         },
     };
+    let counters: Vec<String> = stats
+        .counters()
+        .iter()
+        .map(|(key, value)| format!("{key}={value}"))
+        .collect();
     println!(
-        "rounds={} proof_size={} visited={} hoare_checks={} qcache_hits={} qcache_misses={} qcache_hit_rate={:.2} useless_hits={} useless_probes={} useless_len={} time={:?}",
-        stats.rounds,
-        stats.proof_size,
-        stats.visited_states,
-        stats.hoare_checks,
-        stats.qcache_hits,
-        stats.qcache_misses,
+        "{} qcache_hit_rate={:.2} time={:?}",
+        counters.join(" "),
         stats.qcache_hit_rate(),
-        stats.cache_skips,
-        stats.useless_probes,
-        stats.useless_len,
         stats.time
     );
     if let Some(sup) = &driven {
@@ -675,14 +659,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
             "--crash-at" => {
                 crash_specs.push(it.next().ok_or("--crash-at needs a value")?.clone());
             }
-            "--crash-after" => {
-                let n: u64 = it
-                    .next()
-                    .ok_or("--crash-after needs a value")?
-                    .parse()
-                    .map_err(|_| "invalid --crash-after")?;
-                crash_specs.push(format!("post-fsync:{n}"));
-            }
             "--certify" => {
                 let v = it.next().ok_or("--certify needs a value")?;
                 config.certify = CertifyMode::parse(v)?;
@@ -703,7 +679,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     for warning in server.store_warnings() {
         eprintln!("warning: {warning}");
     }
-    install_shutdown_signals(server.shutdown_flag());
+    route_signals(&[SIGINT, SIGTERM], server.shutdown_flag());
     // Port 0 resolves at bind time; tests and scripts scrape this line.
     println!("listening on {}", server.local_addr()?);
     use std::io::Write as _;

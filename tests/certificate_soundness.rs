@@ -247,3 +247,53 @@ fn injector_kinds_are_caught_at_salt_zero() {
         );
     }
 }
+
+/// The `structural` tier's trust boundary: it replays the reduction and
+/// checks inclusion without the solver, so it rejects mutations of the
+/// certificate's shape — a dropped obligation, a weakened annotation — but
+/// trusts solver facts: a flipped bound passes it and only the `full` tier
+/// re-discharges the obligation and rejects it.
+#[test]
+fn structural_tier_rejects_shape_mutations_and_trusts_solver_facts() {
+    for fixture in safe_fixtures() {
+        let mut applied = [0usize; 3];
+        for salt in 0..16 {
+            for (i, mutation) in [CertMutation::DropObligation, CertMutation::WeakenAnnotation]
+                .into_iter()
+                .enumerate()
+            {
+                if let Some(ok) =
+                    check_mutated(fixture, Some(mutation), salt, CertifyMode::Structural)
+                {
+                    assert!(
+                        !ok,
+                        "{}: {} (salt {salt}) passed the structural tier",
+                        fixture.name,
+                        mutation.name()
+                    );
+                    applied[i] += 1;
+                }
+            }
+            let flip = Some(CertMutation::FlipBound);
+            if let Some(ok) = check_mutated(fixture, flip, salt, CertifyMode::Structural) {
+                assert!(
+                    ok,
+                    "{}: flip-bound (salt {salt}) failed the structural tier",
+                    fixture.name
+                );
+                assert_eq!(
+                    check_mutated(fixture, flip, salt, CertifyMode::Full),
+                    Some(false),
+                    "{}: flip-bound (salt {salt}) passed the full tier",
+                    fixture.name
+                );
+                applied[2] += 1;
+            }
+        }
+        assert!(
+            applied.iter().all(|&n| n > 0),
+            "{}: a mutation applied nowhere: {applied:?}",
+            fixture.name
+        );
+    }
+}

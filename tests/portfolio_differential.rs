@@ -3,7 +3,8 @@
 //! portfolio (several members taking turns in [`drive`]) must never
 //! contradict each other's conclusive verdicts, and every reported bug
 //! trace must replay as feasible under exact trace analysis. On fixed
-//! corpus programs, a retrying single-member run must also report the same
+//! corpus programs, every single-member driver path — a retry ladder, a
+//! checkpointed run and a cold daemon request — must also report the same
 //! run counters as [`verify`].
 
 use proptest::prelude::*;
@@ -14,12 +15,16 @@ use seqver::gemcutter::drive::{drive, RetryPolicy, Run};
 use seqver::gemcutter::interpolate::{
     analyze_trace_with_mode, InterpolationMode, InterpolationStats, TraceResult,
 };
-use seqver::gemcutter::verify::{specs_of, verify, Outcome, RunStats, Verdict, VerifierConfig};
+use seqver::gemcutter::verify::{specs_of, verify, Outcome, Verdict, VerifierConfig};
 use seqver::program::concurrent::{LetterId, Program, Spec};
 use seqver::program::stmt::{SimpleStmt, Statement};
 use seqver::program::thread::{Thread, ThreadId};
+use seqver::serve::client::Client;
+use seqver::serve::proto::{Status, VerifyOpts, WireVerdict};
+use seqver::serve::server::{ServeConfig, Server};
 use seqver::smt::linear::LinExpr;
 use seqver::smt::TermPool;
+use std::time::Duration;
 
 /// A random simple statement description: which variable (0..3, where 0–1
 /// are shared between threads) and what operation.
@@ -220,38 +225,19 @@ proptest! {
     }
 }
 
-/// The counters every `drive` run folds from its engines, minus wall time.
-fn engine_counters(stats: &RunStats) -> [(&'static str, u64); 13] {
-    [
-        ("rounds", stats.rounds as u64),
-        ("visited_states", stats.visited_states as u64),
-        ("cache_skips", stats.cache_skips as u64),
-        ("useless_probes", stats.useless_probes as u64),
-        ("useless_len", stats.useless_len as u64),
-        ("hoare_checks", stats.hoare_checks as u64),
-        ("proof_size", stats.proof_size as u64),
-        (
-            "interpolation.feasibility_checks",
-            stats.interpolation.feasibility_checks as u64,
-        ),
-        (
-            "interpolation.sliced_statements",
-            stats.interpolation.sliced_statements as u64,
-        ),
-        ("certs_dropped", stats.certs_dropped as u64),
-        ("max_round_visited", stats.max_round_visited as u64),
-        ("qcache_hits", stats.qcache_hits),
-        ("qcache_misses", stats.qcache_misses),
-    ]
-}
-
-/// `verify` and a single-member run with a retry ladder run the same
-/// engine rounds, so they must report the same counters: neither may drop
-/// one, neither may count the Hoare checks of the certificate-recording
-/// walk, and both attribute the query cache by the same rule.
-/// `bluetooth-bug-2` has two specs.
+/// No driver path drops a counter. `verify`, a single-member run with a
+/// retry ladder, a checkpointed run and one cold request to a fresh
+/// in-process daemon run the same engine rounds, so they must report every
+/// counter of [`RunStats::counters`] with the same value: none may drop
+/// one, none may count the Hoare checks of the certificate-recording walk,
+/// and the drivers attribute the query cache by the same rule. The daemon
+/// spells each key with `-` for `_`; its `qcache` pair is the shared
+/// cache's, not a run's, so it is left out. New counters are covered
+/// without touching this test. `bluetooth-bug-2` has two specs.
+///
+/// [`RunStats::counters`]: seqver::gemcutter::verify::RunStats::counters
 #[test]
-fn single_engine_drivers_report_the_same_counters() {
+fn every_driver_path_reports_every_counter() {
     let config = VerifierConfig::gemcutter_seq();
     for (name, specs) in [
         ("counter-safe-2", 1),
@@ -270,8 +256,6 @@ fn single_engine_drivers_report_the_same_counters() {
             drive(&mut pool, &p)
         };
         let plain = run(&|pool, p| verify(pool, p, &config));
-        let with_retry = Run::single(&config).retrying(RetryPolicy::with_retries(2));
-        let retried = run(&|pool, p| drive(pool, p, &with_retry).outcome);
         assert_eq!(
             plain.verdict.is_correct(),
             !name.contains("bug"),
@@ -279,11 +263,52 @@ fn single_engine_drivers_report_the_same_counters() {
         );
         assert!(plain.stats.useless_probes > 0 && plain.stats.useless_len > 0);
         assert!(plain.stats.hoare_checks > 0);
-        assert_eq!(retried.verdict, plain.verdict, "{name}: verdict");
-        assert_eq!(
-            engine_counters(&retried.stats),
-            engine_counters(&plain.stats),
-            "{name}: counters differ from verify"
-        );
+        let counters = plain.stats.counters();
+        let checkpoint = std::env::temp_dir().join(format!(
+            "seqver-counters-{name}-{}.ckpt",
+            std::process::id()
+        ));
+        let retrying = Run::single(&config).retrying(RetryPolicy::with_retries(2));
+        let checkpointed = Run {
+            checkpoint: Some(checkpoint.clone()),
+            ..Run::single(&config)
+        };
+        for (path, driven) in [("retries", retrying), ("checkpoint", checkpointed)] {
+            let other = run(&|pool, p| drive(pool, p, &driven).outcome);
+            assert_eq!(other.verdict, plain.verdict, "{name}/{path}: verdict");
+            assert_eq!(other.stats.counters(), counters, "{name}/{path}: counters");
+        }
+        assert!(checkpoint.exists(), "{name}: no checkpoint written");
+        let _ = std::fs::remove_file(&checkpoint);
+
+        let server = Server::bind(ServeConfig::default()).expect("bind");
+        let addr = server.local_addr().expect("local addr").to_string();
+        let daemon = std::thread::spawn(move || server.run());
+        let mut client =
+            Client::connect_with_timeout(&addr, Duration::from_secs(120)).expect("connect");
+        let response = client
+            .verify_source(name, &bench.source, VerifyOpts::default())
+            .expect("verify");
+        assert_eq!(response.status, Some(Status::Ok), "{name}: {response:?}");
+        assert!(!response.store_hit, "{name}: the request must run cold");
+        let expected = match plain.verdict {
+            Verdict::Correct => WireVerdict::Correct,
+            Verdict::Incorrect { ref trace } => {
+                WireVerdict::Incorrect(trace.iter().map(|l| l.0).collect())
+            }
+            Verdict::GaveUp(ref g) => panic!("{name}: gave up: {g}"),
+        };
+        assert_eq!(response.verdict, Some(expected), "{name}: daemon verdict");
+        let stats = client.stats().expect("stats");
+        for (key, n) in counters.iter().filter(|(k, _)| !k.starts_with("qcache_")) {
+            let key = key.replace('_', "-");
+            let reported = stats
+                .iter()
+                .find(|(k, _)| *k == key)
+                .unwrap_or_else(|| panic!("{name}: the daemon reports no `{key}` in {stats:?}"));
+            assert_eq!(reported.1, n.to_string(), "{name}: daemon `{key}`");
+        }
+        client.shutdown().expect("shutdown");
+        daemon.join().expect("daemon thread").expect("clean drain");
     }
 }

@@ -1,8 +1,8 @@
 //! Crash-recovery battery for the `seqver serve` daemon, run against the
 //! real binary as a subprocess: a deterministic `kill -9` at the worst
-//! moment (`--crash-after` aborts right after a store flush, before the
-//! response is sent) followed by a restart must re-serve the finished
-//! prefix warm from the persistent proof store and reproduce the
+//! moment (`--crash-at post-fsync:N` aborts right after a store flush,
+//! before the response is sent) followed by a restart must re-serve the
+//! finished prefix warm from the persistent proof store and reproduce the
 //! uninterrupted batch's verdicts bit for bit; a corrupted store must
 //! degrade to a warned cold start with — again — identical verdicts.
 
@@ -95,12 +95,12 @@ impl Daemon {
         stderr
     }
 
-    /// Waits for the daemon to die on its own (the `--crash-after` abort).
+    /// Waits for the daemon to die on its own (the `--crash-at` abort).
     fn wait_for_crash(mut self) {
         let status = self.child.wait().expect("wait");
         assert!(
             !status.success(),
-            "daemon with --crash-after exited cleanly instead of aborting"
+            "daemon with --crash-at exited cleanly instead of aborting"
         );
     }
 }
@@ -193,7 +193,7 @@ fn crash_mid_batch_then_restart_reproduces_the_batch_warm() {
     // verification's store flush — the work is on disk, the response was
     // never sent. The client observes a dead connection, not a panic.
     let store = dir.join("proofs.store");
-    let daemon = Daemon::start(&dir, &store, &["--crash-after", "2"]);
+    let daemon = Daemon::start(&dir, &store, &["--crash-at", "post-fsync:2"]);
     let mut client = daemon.client();
     let interrupted = submit_batch(&mut client, &programs);
     drop(client);
