@@ -1,9 +1,10 @@
 //! Trace feasibility and sequence interpolation.
 //!
 //! A counterexample trace from the proof check is first checked for
-//! feasibility by an exact SSA encoding (DPLL(T) over LIA). Infeasible
-//! traces yield a chain of assertions — a Floyd/Hoare annotation of the
-//! trace with `init ∧ pre` at the start and `false` at the end — via
+//! feasibility by an exact SSA encoding (DPLL(T) over LIA); that check is
+//! the first refutation of the unsat core below. Infeasible traces yield
+//! a chain of assertions — a Floyd/Hoare annotation of the trace with
+//! `init ∧ pre` at the start and `false` at the end — via
 //! strongest postconditions computed over an **unsat-core-sliced** trace:
 //! statements whose constraints do not participate in the infeasibility
 //! are weakened to havoc of their written variables, which keeps the
@@ -14,9 +15,9 @@ use program::concurrent::{LetterId, Program, Spec};
 use program::stmt::SimpleStmt;
 use program::var::Versions;
 use smt::cube::Dnf;
-use smt::solver::{check, SatResult};
+use smt::solver::check;
 use smt::term::{TermId, TermPool};
-use smt::unsat_core::unsat_core;
+use smt::unsat_core::{check_core, CoreResult};
 
 /// Outcome of analyzing a counterexample trace.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -90,16 +91,15 @@ pub fn analyze_trace(
         blocks.push(renamed);
     }
 
-    // 2. Exact feasibility.
+    // 2. Exact feasibility and, for an infeasible trace, the unsat core
+    //    over the blocks → relevant init conjuncts + statements. The
+    //    feasibility check is the core's first refutation.
     stats.feasibility_checks += 1;
-    match check(pool, &blocks) {
-        SatResult::Sat(_) => return TraceResult::Feasible,
-        SatResult::Unknown => return TraceResult::Unknown,
-        SatResult::Unsat => {}
-    }
-
-    // 3. Unsat core over the blocks → relevant init conjuncts + statements.
-    let core = unsat_core(pool, &blocks).unwrap_or_else(|| (0..blocks.len()).collect());
+    let core = match check_core(pool, &blocks) {
+        CoreResult::Sat => return TraceResult::Feasible,
+        CoreResult::Unknown => return TraceResult::Unknown,
+        CoreResult::Unsat(core) => core,
+    };
     let sliced_init = pool.and(
         blocks[..n_init]
             .iter()
@@ -109,11 +109,11 @@ pub fn analyze_trace(
     );
     let relevant = |i: usize| core.contains(&(i + n_init));
 
-    // 4. Strongest-postcondition chain over the sliced trace.
+    // 3. Strongest-postcondition chain over the sliced trace.
     if let Some(chain) = sp_chain(pool, program, trace, spec, sliced_init, &relevant, stats) {
         return TraceResult::Infeasible { chain };
     }
-    // 5. Fallback: no slicing (the sliced chain can fail to reach ⊥ when a
+    // 4. Fallback: no slicing (the sliced chain can fail to reach ⊥ when a
     //    projection over-approximated).
     stats.sliced_statements = 0;
     if let Some(chain) = sp_chain(pool, program, trace, spec, full_init, &|_| true, stats) {

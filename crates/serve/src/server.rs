@@ -857,7 +857,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream, job_tx: &Sender<Job>) {
     }
 
     if batch.served > 0 {
-        println!("{}", batch.render(shared));
+        eprintln!("{}", batch.render(shared));
     }
 }
 
@@ -915,7 +915,8 @@ fn dispatch_verify(
     }
 }
 
-/// Per-connection batch accounting, reported as one stats line on close.
+/// Per-connection batch accounting, reported as one stats line on stderr
+/// on close (stdout stays the embedding program's).
 #[derive(Default)]
 struct BatchStats {
     served: u64,

@@ -16,8 +16,13 @@
 //! union the origins of everything resolved, and literals fixed at
 //! decision level 0 memoize their own origin closure eagerly
 //! ([`CdclSolver::enqueue`]) so the final `Unsat` answer names a sound
-//! (often small) subset of the input — the raw material for
-//! [`crate::unsat_core`] minimization under the CDCL engine.
+//! (often small) subset of the input. [`crate::unsat_core`] minimizes
+//! with one warm solver per core: every assertion's gate definitions are
+//! emitted once at scope 0 ([`CdclSolver::define`]), and each deletion
+//! probe asserts its kept assertions in a pushed scope, solves and pops,
+//! so the slack rows, the simplex basis and the theory lemmas carry over
+//! from probe to probe. The origins of an `Unsat` probe seed the next
+//! deletions.
 //!
 //! Governor charges: one [`Category::DpllDecisions`] at solve entry and
 //! per decision (mirroring the legacy recursion's per-node charge so
@@ -171,7 +176,8 @@ const VAR_DECAY: f64 = 0.95;
 /// [`CdclSolver::solve`] calls, and [`CdclSolver::push_scope`] /
 /// [`CdclSolver::pop_scope`] retract assertions without losing what was
 /// learned below the popped scope. This is what `solver::AssertionScope`
-/// builds its warm batteries on.
+/// builds its warm batteries on, and what [`crate::unsat_core`] probes
+/// deletions with.
 #[derive(Clone, Debug, Default)]
 pub struct CdclSolver {
     // ---- encoding ----
@@ -383,6 +389,16 @@ impl CdclSolver {
             // The pool's smart constructors never leave `⊤`/`⊥` inside a
             // gate; top-level constants are handled by `add_assertion`.
             Term::True | Term::False => unreachable!("constant below a gate"),
+        }
+    }
+
+    /// Emits the gate definitions of `t` at the current scope without
+    /// asserting it. A later [`CdclSolver::add_assertion`] of `t` in a
+    /// pushed scope then adds only its root unit, and popping that scope
+    /// keeps the definitions (and every clause learned from them alone).
+    pub fn define(&mut self, pool: &TermPool, t: TermId) {
+        if !matches!(pool.term(t), Term::True | Term::False) {
+            self.encode(pool, t);
         }
     }
 
@@ -1175,29 +1191,28 @@ pub(crate) fn solve_formula(
     }
 }
 
-/// Checks the conjunction of `assertions`, reporting which assertion
-/// indices support an `Unsat` verdict (the candidate set that
-/// [`crate::unsat_core`] minimizes under the CDCL engine).
-pub fn check_with_core(
-    pool: &TermPool,
-    assertions: &[TermId],
-    bb_budget: usize,
-    decision_budget: usize,
-    governor: &ResourceGovernor,
-) -> CdclOutcome {
-    let mut s = CdclSolver::new();
-    for (i, &t) in assertions.iter().enumerate() {
-        s.add_assertion(pool, t, i as u32);
-    }
-    s.solve(governor, bb_budget, decision_budget)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lia::DEFAULT_BB_BUDGET;
 
     const BUDGET: usize = 100_000;
+
+    /// One fresh solve of the conjunction of `assertions`, assertion `i`
+    /// tagged with origin `i`.
+    fn check_with_core(
+        pool: &TermPool,
+        assertions: &[TermId],
+        bb_budget: usize,
+        decision_budget: usize,
+        governor: &ResourceGovernor,
+    ) -> CdclOutcome {
+        let mut s = CdclSolver::new();
+        for (i, &t) in assertions.iter().enumerate() {
+            s.add_assertion(pool, t, i as u32);
+        }
+        s.solve(governor, bb_budget, decision_budget)
+    }
 
     fn solve(pool: &TermPool, ts: &[TermId]) -> CdclOutcome {
         check_with_core(

@@ -14,19 +14,36 @@
 //! refreshes the seed from its own refutation. The solver kind picks the
 //! refuter that supplies seeds:
 //!
-//! * CDCL names the antecedent origins of its final conflict (every clause
-//!   carries the assertion indices it derives from, unioned through
-//!   learned-clause resolutions), so most probes are skipped;
+//! * CDCL runs every probe on one warm [`CdclSolver`] per core: the gate
+//!   definitions of every assertion are emitted once at scope 0, and a
+//!   probe asserts its kept indices in a pushed scope, solves and pops.
+//!   The slack rows, the simplex basis and the theory lemmas carry over,
+//!   so a probe only repairs what the deleted assertion changed. An
+//!   `Unsat` probe names the antecedent origins of its final conflict
+//!   (every clause carries the assertion indices it derives from, unioned
+//!   through learned-clause resolutions), so most probes are skipped;
 //! * DPLL names every assertion it refuted, so every index is probed and
 //!   the loop is the plain greedy deletion loop.
 //!
-//! A seed only skips probes whose outcome it decides, so the computed core
-//! is *identical* under both refuters — trace slicing does not depend on
-//! the engine.
+//! A seed only skips probes whose outcome it decides, and every probe's
+//! answer is semantic, so the computed core is *identical* under both
+//! refuters — trace slicing does not depend on the engine.
 
-use crate::cdcl::{self, CdclOutcome};
-use crate::solver::{check, SolverConfig, SolverKind};
+use crate::cdcl::{CdclOutcome, CdclSolver};
+use crate::solver::{check, SatResult, SolverConfig, SolverKind};
 use crate::term::{TermId, TermPool};
+
+/// Outcome of [`check_core`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CoreResult {
+    /// The conjunction is satisfiable.
+    Sat,
+    /// The solver could not decide the conjunction.
+    Unknown,
+    /// The conjunction is unsatisfiable; the indices of a locally minimal
+    /// core, ascending.
+    Unsat(Vec<usize>),
+}
 
 /// Computes a (locally minimal) unsat core of `assertions`.
 ///
@@ -53,8 +70,23 @@ use crate::term::{TermId, TermPool};
 /// assert_eq!(core, vec![0, 2]);
 /// ```
 pub fn unsat_core(pool: &mut TermPool, assertions: &[TermId]) -> Option<Vec<usize>> {
-    let mut seed = refute(pool, assertions)?;
+    match check_core(pool, assertions) {
+        CoreResult::Unsat(core) => Some(core),
+        CoreResult::Sat | CoreResult::Unknown => None,
+    }
+}
+
+/// Checks the conjunction of `assertions` and, when it is unsatisfiable,
+/// minimizes it as [`unsat_core`] does. The check is the deletion loop's
+/// first refutation, so a caller that needs both the verdict and the core
+/// solves the full conjunction once.
+pub fn check_core(pool: &mut TermPool, assertions: &[TermId]) -> CoreResult {
+    let mut refuter = Refuter::new(pool, assertions);
     let mut kept: Vec<usize> = (0..assertions.len()).collect();
+    let mut seed = match refuter.refute(pool, assertions, &kept) {
+        CoreResult::Unsat(seed) => seed,
+        other => return other,
+    };
     let mut i = 0;
     while i < kept.len() {
         let idx = kept[i];
@@ -63,43 +95,80 @@ pub fn unsat_core(pool: &mut TermPool, assertions: &[TermId]) -> Option<Vec<usiz
             continue;
         }
         let rest: Vec<usize> = kept.iter().copied().filter(|&k| k != idx).collect();
-        let terms: Vec<TermId> = rest.iter().map(|&k| assertions[k]).collect();
-        match refute(pool, &terms) {
-            Some(origins) => {
-                seed = origins.into_iter().map(|o| rest[o]).collect();
+        match refuter.refute(pool, assertions, &rest) {
+            CoreResult::Unsat(origins) => {
+                seed = origins;
                 kept.remove(i);
             }
-            None => i += 1,
+            CoreResult::Sat | CoreResult::Unknown => i += 1,
         }
     }
-    Some(kept)
+    CoreResult::Unsat(kept)
 }
 
-/// Refutes `terms` with the pool's solver kind, returning a proven-unsat
-/// subset of `0..terms.len()`, or `None` on `Sat`/`Unknown`.
-fn refute(pool: &mut TermPool, terms: &[TermId]) -> Option<Vec<usize>> {
-    match pool.solver_kind() {
-        SolverKind::Cdcl => {
-            let config = SolverConfig::default();
-            let governor = pool.governor().clone();
-            let outcome =
-                cdcl::check_with_core(pool, terms, config.bb_budget, config.dpll_budget, &governor);
-            match outcome {
-                CdclOutcome::Unsat { origins } => {
-                    Some(origins.into_iter().map(|o| o as usize).collect())
+/// The engine behind the deletion probes of one core computation.
+enum Refuter {
+    /// One warm solver holding every assertion's gate definitions at
+    /// scope 0; each probe asserts in a scope of its own.
+    Cdcl(Box<CdclSolver>),
+    /// Each probe is a plain [`check`].
+    Dpll,
+}
+
+impl Refuter {
+    fn new(pool: &TermPool, assertions: &[TermId]) -> Refuter {
+        match pool.solver_kind() {
+            SolverKind::Cdcl => {
+                let mut solver = Box::new(CdclSolver::new());
+                for &t in assertions {
+                    solver.define(pool, t);
                 }
-                _ => None,
+                Refuter::Cdcl(solver)
+            }
+            SolverKind::Dpll => Refuter::Dpll,
+        }
+    }
+
+    /// Refutes the conjunction of `assertions[k]` for `k` in `kept`.
+    /// [`CoreResult::Unsat`] carries a proven-unsat subset of `kept`, not
+    /// necessarily a minimal one.
+    fn refute(&mut self, pool: &mut TermPool, assertions: &[TermId], kept: &[usize]) -> CoreResult {
+        match self {
+            Refuter::Cdcl(solver) => {
+                let config = SolverConfig::default();
+                let governor = pool.governor().clone();
+                solver.push_scope();
+                for &k in kept {
+                    solver.add_assertion(pool, assertions[k], k as u32);
+                }
+                let outcome = solver.solve(&governor, config.bb_budget, config.dpll_budget);
+                solver.pop_scope();
+                match outcome {
+                    CdclOutcome::Sat(_) => CoreResult::Sat,
+                    CdclOutcome::Unknown => CoreResult::Unknown,
+                    CdclOutcome::Unsat { origins } => {
+                        CoreResult::Unsat(origins.into_iter().map(|o| o as usize).collect())
+                    }
+                }
+            }
+            Refuter::Dpll => {
+                let terms: Vec<TermId> = kept.iter().map(|&k| assertions[k]).collect();
+                match check(pool, &terms) {
+                    SatResult::Sat(_) => CoreResult::Sat,
+                    SatResult::Unknown => CoreResult::Unknown,
+                    SatResult::Unsat => CoreResult::Unsat(kept.to_vec()),
+                }
             }
         }
-        SolverKind::Dpll => check(pool, terms)
-            .is_unsat()
-            .then(|| (0..terms.len()).collect()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linear::LinExpr;
+    use crate::resource::{Category, ResourceGovernor};
+    use crate::Rel;
 
     #[test]
     fn core_drops_irrelevant_assertions() {
@@ -210,6 +279,91 @@ mod tests {
             }
         }
         assert_eq!(expected.unwrap(), vec![1, 2], "greedy drops index 0 first");
+    }
+
+    /// SSA blocks `x0 = 0, x1 = x0 + 1, …, x8 = x7 + 1` interleaved with
+    /// noise blocks over `y`, then the guard `x8 ≥ 100 ∨ x8 ≤ -1`. Every
+    /// deletion probe of a chain link comes back sat, and consecutive
+    /// probes share the links' slack rows.
+    fn ssa_chain(p: &mut TermPool) -> Vec<TermId> {
+        let x: Vec<_> = (0..=8).map(|i| p.var(&format!("x{i}"))).collect();
+        let y = p.var("y");
+        let mut blocks = vec![p.eq_const(x[0], 0)];
+        for i in 0..8 {
+            let step = LinExpr::from_terms([(x[i + 1], 1), (x[i], -1)], -1);
+            blocks.push(p.atom(step, Rel::Eq0));
+            blocks.push(p.ge_const(y, i as i128));
+        }
+        let high = p.ge_const(x[8], 100);
+        let low = p.le_const(x[8], -1);
+        blocks.push(p.or([high, low]));
+        blocks
+    }
+
+    #[test]
+    fn warm_core_of_an_ssa_chain_matches_dpll() {
+        let mut expected = None;
+        for kind in [SolverKind::Dpll, SolverKind::Cdcl] {
+            let mut p = TermPool::new();
+            p.set_solver_kind(kind);
+            let blocks = ssa_chain(&mut p);
+            let core = unsat_core(&mut p, &blocks).unwrap();
+            match &expected {
+                None => expected = Some(core),
+                Some(e) => assert_eq!(&core, e, "core differs between engines"),
+            }
+        }
+        let chain: Vec<usize> = [0]
+            .into_iter()
+            .chain((1..17).step_by(2))
+            .chain([17])
+            .collect();
+        assert_eq!(
+            expected.unwrap(),
+            chain,
+            "the chain and its guard, no noise"
+        );
+    }
+
+    /// A popped probe leaves no assertion behind: after an unsat probe
+    /// only origin-free clauses (gate definitions and theory lemmas)
+    /// remain, and a probe without the guard is satisfiable again.
+    #[test]
+    fn popped_probe_leaves_no_assertion_behind() {
+        let mut p = TermPool::new();
+        let blocks = ssa_chain(&mut p);
+        let mut refuter = Refuter::new(&p, &blocks);
+        let all: Vec<usize> = (0..blocks.len()).collect();
+        for _ in 0..2 {
+            assert!(matches!(
+                refuter.refute(&mut p, &blocks, &all),
+                CoreResult::Unsat(_)
+            ));
+            let Refuter::Cdcl(solver) = &refuter else {
+                panic!("the default solver kind is cdcl");
+            };
+            assert!(solver.clause_infos().iter().all(|c| c.origins.is_empty()));
+            let unguarded = &all[..all.len() - 1];
+            assert_eq!(refuter.refute(&mut p, &blocks, unguarded), CoreResult::Sat);
+            assert_eq!(refuter.refute(&mut p, &blocks, &[]), CoreResult::Sat);
+        }
+    }
+
+    /// The core's first refutation is the verdict: sat, unknown and
+    /// unsat stay apart.
+    #[test]
+    fn check_core_tells_sat_from_unknown() {
+        let mut p = TermPool::new();
+        let blocks = ssa_chain(&mut p);
+        let unguarded = &blocks[..blocks.len() - 1];
+        assert_eq!(check_core(&mut p, unguarded), CoreResult::Sat);
+        assert!(matches!(check_core(&mut p, &blocks), CoreResult::Unsat(_)));
+        p.set_governor(
+            ResourceGovernor::builder()
+                .budget(Category::DpllDecisions, 0)
+                .build(),
+        );
+        assert_eq!(check_core(&mut p, unguarded), CoreResult::Unknown);
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! * every `Sat` model is re-validated by exact integer evaluation of
 //!   the queried formula;
 //! * every `Unsat` verdict's core (computed under the CDCL engine, which
-//!   exercises the antecedent-origin certificate path) is cross-checked
-//!   unsatisfiable by the *legacy* engine.
+//!   exercises the antecedent-origin certificate path and the warm
+//!   push/pop probes) is cross-checked unsatisfiable by the *legacy*
+//!   engine, and is the very core the legacy engine's deletion loop
+//!   computes — trace slicing must not depend on the engine.
 //!
 //! The proptest battery is a fixed-seed 512-case regression; the
 //! `randomized_pass` test adds a bounded-time pass whose seed comes from
@@ -125,6 +127,13 @@ fn check_one(f: &F) {
             pool.set_solver_kind(SolverKind::Cdcl);
             let core = unsat_core(&mut pool, &assertions)
                 .expect("unsat input must yield a core under cdcl");
+            pool.set_solver_kind(SolverKind::Dpll);
+            let dpll_core = unsat_core(&mut pool, &assertions)
+                .expect("unsat input must yield a core under dpll");
+            assert_eq!(
+                core, dpll_core,
+                "cdcl and dpll deletion loops chose different cores on {f:?}"
+            );
             assert!(!core.is_empty(), "empty core for unsat input {f:?}");
             let core_terms: Vec<TermId> = core.iter().map(|&i| assertions[i]).collect();
             assert!(
