@@ -4,10 +4,11 @@
 //! Every CORRECT verdict carries the annotation-level image of the
 //! covered reduction: the Floyd/Hoare annotation as [`ExportedTerm`]s,
 //! the annotation transition table, and every solver fact the traversal
-//! relied on (bottoms, post entailments, commutativity claims). It is
-//! recorded by [`crate::check::record_reduction`], which runs the proof
-//! check's own DFS once more after the conclusive round, in recording
-//! mode and with no useless-state cache. Every BUG verdict carries the
+//! relied on (bottoms, post entailments, commutativity claims). The
+//! proving round records it with the proof check's own DFS: the check
+//! writes each fact down as it goes, and then walks on, with no
+//! useless-state cache, under the subtrees that cache let it skip (see
+//! [`crate::check`]). Every BUG verdict carries the
 //! counterexample trace. [`check_certificate`] re-validates either kind
 //! with a deliberately small trusted base, independent of the engine that
 //! produced the verdict:

@@ -15,10 +15,14 @@
 //!   the same `(q, S, ctx)` and a superset of assertions (sound by
 //!   monotonicity of proof-sensitive commutativity, §7.2).
 //!
-//! The same DFS has a recording mode, [`record_reduction`]: after a
-//! proven round it walks the reduction again with no useless-state cache
-//! and writes down every fact the traversal relied on, for the round's
-//! certificate ([`crate::certify`]).
+//! The same DFS records certificates ([`crate::certify`]). With a recorder
+//! attached, check mode also writes down every fact the traversal relies
+//! on and keeps each key the useless-state cache skipped. When the round
+//! proves the spec, the same walk resumes under those keys with no cache
+//! (`Walk::resume`), so the proving round's record covers the whole
+//! reduction without a second walk from the initial state.
+//! [`record_reduction`] is that whole walk, for callers that record after
+//! the fact: it enters the same states and records the same facts.
 
 use crate::govern::{Category, GiveUp};
 use crate::proof::{ProofAutomaton, ProofStateId};
@@ -69,13 +73,13 @@ pub struct CheckConfig {
     pub proof_sensitive: bool,
     /// The per-round state budget of the one DFS. In check mode
     /// ([`check_proof`]) it aborts with [`CheckResult::LimitReached`]
-    /// after visiting this many states; in recording mode
-    /// ([`record_reduction`]) it drops the certificate after
-    /// [`RECORD_VISITED_HEADROOM`]× as many, since recording takes no
-    /// useless-cache skips and can legitimately need more states than the
-    /// check did. Both modes also charge `Category::DfsStates` per state,
-    /// so the governor's run-wide budget is the ultimate authority; this
-    /// field is the per-round cap.
+    /// after visiting this many states. Recording drops the certificate
+    /// once the check and its resumption together (or a
+    /// [`record_reduction`] walk) visit more than
+    /// [`RECORD_VISITED_HEADROOM`]× as many, since recording expands the
+    /// subtrees the useless-state cache skipped. Every walk also charges
+    /// `Category::DfsStates` per state, so the governor's run-wide budget
+    /// is the ultimate authority; this field is the per-round cap.
     pub max_visited: usize,
     /// Ignored: the proof check is always the sequential Algorithm 2 DFS.
     /// The field exists only so that existing `CheckConfig` struct
@@ -230,30 +234,19 @@ pub fn check_proof(
     config: &CheckConfig,
     stats: &mut CheckStats,
 ) -> CheckResult {
-    walk(
-        pool,
-        program,
-        spec,
-        order,
-        oracle,
-        persistent,
-        proof,
-        Some(useless),
-        None,
-        config,
-        stats,
-    )
+    Walk::new(program, spec, order, persistent, config, false)
+        .check(pool, oracle, proof, useless, stats)
 }
 
 /// The annotation-level image of one fully covered reduction, captured by
-/// [`record_reduction`]: everything an independent checker needs to replay
+/// a recording walk: everything an independent checker needs to replay
 /// the DFS of Algorithm 2 *without* re-deriving any solver fact it does
 /// not choose to re-verify.
 ///
 /// Proof states are referenced by their `ProofStateId`; the caller
 /// translates them to interned assertion sets when exporting a
 /// certificate.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RecordedReduction {
     /// Proof state covering the initial product state.
     pub initial: ProofStateId,
@@ -271,23 +264,25 @@ pub struct RecordedReduction {
     pub ucommute: Vec<(LetterId, LetterId)>,
 }
 
-/// State-budget headroom of the recording walk, as a multiple of
-/// [`CheckConfig::max_visited`]. Recording takes no useless-cache skips,
-/// so it expands subtrees the check skipped; a proven round whose check
-/// fit `max_visited` only thanks to those skips still deserves a
-/// certificate. The governor's run-wide `Category::DfsStates` budget —
-/// charged per recorded state too — is the ultimate authority, so this
-/// cap only bounds a single recording walk.
+/// State-budget headroom of certificate recording, as a multiple of
+/// [`CheckConfig::max_visited`]. A recording counts every state of the
+/// reduction: the states its check entered plus those its resumption
+/// enters under the useless-cache skips (or, for [`record_reduction`],
+/// all of them from the initial state). A proven round whose check fit
+/// `max_visited` only thanks to those skips still deserves a certificate.
+/// The governor's run-wide `Category::DfsStates` budget — charged per
+/// resumed state too — is the ultimate authority, so this cap only bounds
+/// the recording of a single round.
 pub const RECORD_VISITED_HEADROOM: usize = 4;
 
 /// Records the annotation-level structure of the reduction after a round
-/// returned [`CheckResult::Proven`], by running [`check_proof`]'s walk in
-/// recording mode: with no useless-state cache, so the recorded table
-/// covers subtrees earlier rounds had already discharged — the
-/// certificate must stand on its own — and under
-/// [`RECORD_VISITED_HEADROOM`]× the state budget. Every solver query hits
-/// the proof automaton's and oracle's memo tables, so the pass is roughly
-/// one cold round of pure graph traversal.
+/// returned [`CheckResult::Proven`], by a recording walk from the initial
+/// state with no useless-state cache, so the recorded table covers every
+/// subtree earlier rounds had already discharged — the certificate must
+/// stand on its own — under [`RECORD_VISITED_HEADROOM`]× the state
+/// budget. The verifier itself records during the proving round and only
+/// resumes under that round's skips (see the module doc); this
+/// stand-alone walk enters the same states and records the same facts.
 ///
 /// Returns `None` when the walk cannot be completed faithfully: the state
 /// budget or resource governor trips mid-walk, or (defensively) an
@@ -304,257 +299,456 @@ pub fn record_reduction(
     proof: &mut ProofAutomaton,
     config: &CheckConfig,
 ) -> Option<RecordedReduction> {
-    let config = CheckConfig {
-        max_visited: config.max_visited.saturating_mul(RECORD_VISITED_HEADROOM),
-        ..config.clone()
-    };
-    let mut rec = Recorder::default();
-    let mut stats = CheckStats::default();
-    let result = walk(
-        pool,
-        program,
-        spec,
-        order,
-        oracle,
-        persistent,
-        proof,
-        None,
-        Some(&mut rec),
-        &config,
-        &mut stats,
-    );
-    // The walk tests its cap only while a state is left to expand, so a
-    // covered initial state alone can still exceed a zero cap.
-    (result == CheckResult::Proven && stats.visited <= config.max_visited).then(|| {
-        RecordedReduction {
-            initial: rec.initial.expect("the walk records its initial state"),
-            edges: rec.edges.into_iter().collect(),
-            bottoms: rec.bottoms.into_iter().collect(),
-            safes: rec.safes.into_iter().collect(),
-            claims: rec.claims.into_iter().collect(),
-            ucommute: rec.ucommute.into_iter().collect(),
-        }
-    })
+    // A walk that checked nothing and resumes from the initial state.
+    let mut walk = Walk::new(program, spec, order, persistent, config, true);
+    let root = walk.root(pool, proof);
+    walk.skipped.push(root);
+    walk.resume(pool, oracle, proof, 0)
 }
 
-/// The facts a recording walk relied on, sorted and deduplicated.
-#[derive(Default)]
+/// The facts a recording walk relied on. Edges and claims are kept per
+/// proof state and dense over letters: a walk steps far more states than
+/// there are distinct facts, so a repeat costs an index and a bit rather
+/// than a tree search.
 struct Recorder {
     initial: Option<ProofStateId>,
-    edges: BTreeSet<(ProofStateId, LetterId, ProofStateId)>,
+    n_letters: usize,
+    /// Indexed by proof state.
+    facts: Vec<StateFacts>,
     bottoms: BTreeSet<ProofStateId>,
     safes: BTreeSet<ProofStateId>,
-    claims: BTreeSet<(LetterId, LetterId, ProofStateId)>,
-    ucommute: BTreeSet<(LetterId, LetterId)>,
+    /// `(a, b)` with `a < b`, as bit `a·n + b`.
+    ucommute: BitSet,
 }
 
-/// The DFS of Algorithm 2 — the only one in this module. `useless` is the
-/// check mode's cross-round cache, `rec` the recording mode's fact table;
-/// [`check_proof`] passes the first, [`record_reduction`] the second.
-#[allow(clippy::too_many_arguments)]
-fn walk(
-    pool: &mut TermPool,
-    program: &Program,
-    spec: Spec,
-    order: &dyn PreferenceOrder,
-    oracle: &mut CommutativityOracle,
-    persistent: Option<&PersistentSets>,
-    proof: &mut ProofAutomaton,
-    mut useless: Option<&mut UselessCache>,
-    mut rec: Option<&mut Recorder>,
-    config: &CheckConfig,
-    stats: &mut CheckStats,
-) -> CheckResult {
-    let governor = pool.governor().clone();
-    let membrane_mode = match spec {
-        Spec::PrePost => MembraneMode::Terminal,
-        Spec::ErrorOf(t) => MembraneMode::ErrorThread(t),
-    };
-    let n_letters = program.num_letters();
-    let init_formula = pool.and([program.init_formula(), program.pre()]);
-    let phi0 = proof.initial_state(pool, init_formula);
+/// What a walk relied on at one proof state `Φ`.
+struct StateFacts {
+    /// `δ(Φ, a)` per letter `a` stepped from `Φ`; empty until the first.
+    next: Vec<Option<ProofStateId>>,
+    /// Claims `a ↷↷_φ b` as bit `a·n + b`; empty until the first.
+    claims: BitSet,
+}
 
-    if let Some(r) = rec.as_deref_mut() {
-        r.initial = Some(phi0);
+impl Recorder {
+    fn new(n_letters: usize) -> Recorder {
+        Recorder {
+            initial: None,
+            n_letters,
+            facts: Vec::new(),
+            bottoms: BTreeSet::new(),
+            safes: BTreeSet::new(),
+            ucommute: BitSet::new(n_letters * n_letters),
+        }
+    }
+
+    fn at(&mut self, phi: ProofStateId) -> &mut StateFacts {
+        let i = phi.0 as usize;
+        if i >= self.facts.len() {
+            self.facts.resize_with(i + 1, || StateFacts {
+                next: Vec::new(),
+                claims: BitSet::new(0),
+            });
+        }
+        &mut self.facts[i]
+    }
+
+    fn edge(&mut self, phi: ProofStateId, a: LetterId, next: ProofStateId) {
+        let n = self.n_letters;
+        let f = self.at(phi);
+        if f.next.is_empty() {
+            f.next = vec![None; n];
+        }
+        // No assertion is added during a walk, so δ is a function in it.
+        debug_assert!(f.next[a.index()].is_none_or(|t| t == next));
+        f.next[a.index()] = Some(next);
+    }
+
+    fn claim(&mut self, a: LetterId, b: LetterId, phi: ProofStateId) {
+        let n = self.n_letters;
+        let f = self.at(phi);
+        if f.claims.capacity() == 0 {
+            f.claims = BitSet::new(n * n);
+        }
+        f.claims.insert(a.index() * n + b.index());
+    }
+
+    fn ucommute(&mut self, a: LetterId, b: LetterId) {
+        let (lo, hi) = (a.min(b), a.max(b));
+        self.ucommute
+            .insert(lo.index() * self.n_letters + hi.index());
+    }
+
+    /// The facts in the sorted, deduplicated form of [`RecordedReduction`].
+    fn finish(self) -> RecordedReduction {
+        let n = self.n_letters;
+        let pair = |bit: usize| (LetterId((bit / n) as u32), LetterId((bit % n) as u32));
+        let mut edges = Vec::new();
+        let mut claims = Vec::new();
+        for (i, f) in self.facts.iter().enumerate() {
+            let phi = ProofStateId(i as u32);
+            for (a, next) in f.next.iter().enumerate() {
+                if let Some(next) = *next {
+                    edges.push((phi, LetterId(a as u32), next));
+                }
+            }
+            claims.extend(f.claims.iter().map(|bit| {
+                let (a, b) = pair(bit);
+                (a, b, phi)
+            }));
+        }
+        claims.sort_unstable();
+        RecordedReduction {
+            initial: self.initial.expect("the walk records its initial state"),
+            edges,
+            bottoms: self.bottoms.into_iter().collect(),
+            safes: self.safes.into_iter().collect(),
+            claims,
+            ucommute: self.ucommute.iter().map(pair).collect(),
+        }
+    }
+}
+
+/// What entering a state decided.
+enum Entered {
+    /// The state must be expanded.
+    Expand(Frame),
+    /// Skipped by the useless-state cache, covered, or a safe accepting
+    /// state.
+    Done,
+    /// An uncovered accepting state.
+    Violated,
+}
+
+/// One walk of Algorithm 2's DFS over one round's reduction — the only DFS
+/// in this module. [`Walk::check`] runs check mode, which probes and marks
+/// the useless-state cache. A recording walk also writes each fact into a
+/// [`Recorder`] at the point the walk relies on it, and keeps the keys its
+/// cache skipped, so that [`Walk::resume`] can expand them once the check
+/// has proven the round.
+pub(crate) struct Walk<'w> {
+    program: &'w Program,
+    spec: Spec,
+    order: &'w dyn PreferenceOrder,
+    persistent: Option<&'w PersistentSets>,
+    config: &'w CheckConfig,
+    membrane_mode: MembraneMode,
+    visited: BTreeMap<Key, VisitStatus>,
+    /// The fact table; `None` for a plain check.
+    rec: Option<Recorder>,
+    /// Keys the useless-state cache skipped, in skip order (kept only
+    /// when recording).
+    skipped: Vec<Key>,
+}
+
+impl<'w> Walk<'w> {
+    /// A walk over `program`'s reduction for `spec`; `record` attaches a
+    /// recorder.
+    pub(crate) fn new(
+        program: &'w Program,
+        spec: Spec,
+        order: &'w dyn PreferenceOrder,
+        persistent: Option<&'w PersistentSets>,
+        config: &'w CheckConfig,
+        record: bool,
+    ) -> Walk<'w> {
+        Walk {
+            program,
+            spec,
+            order,
+            persistent,
+            config,
+            membrane_mode: match spec {
+                Spec::PrePost => MembraneMode::Terminal,
+                Spec::ErrorOf(t) => MembraneMode::ErrorThread(t),
+            },
+            visited: BTreeMap::new(),
+            rec: record.then(|| Recorder::new(program.num_letters())),
+            skipped: Vec::new(),
+        }
+    }
+
+    /// Check mode from the initial state, under
+    /// [`CheckConfig::max_visited`].
+    pub(crate) fn check(
+        &mut self,
+        pool: &mut TermPool,
+        oracle: &mut CommutativityOracle,
+        proof: &mut ProofAutomaton,
+        useless: &mut UselessCache,
+        stats: &mut CheckStats,
+    ) -> CheckResult {
+        let root = self.root(pool, proof);
+        let max_visited = self.config.max_visited;
+        self.dfs(pool, oracle, proof, Some(useless), root, max_visited, stats)
+    }
+
+    /// Finishes the recording of a walk whose check returned
+    /// [`CheckResult::Proven`] after entering `checked` states. With no
+    /// useless-state cache and on the same visited map, it walks on from
+    /// each key the check's cache skipped, in skip order. A skipped key
+    /// was never expanded, so it counts as unvisited, whether it comes up
+    /// as the next start or is reached again from a resumed state. The
+    /// check and the resumption together enter exactly the states a walk
+    /// from the initial state with no cache enters, and the recorded facts
+    /// are sets over those states, so the record equals
+    /// [`record_reduction`]'s.
+    ///
+    /// Returns `None` when the check and resumed states together exceed
+    /// [`RECORD_VISITED_HEADROOM`]× the state budget, the governor trips,
+    /// or (defensively) an uncovered accepting state is found.
+    pub(crate) fn resume(
+        mut self,
+        pool: &mut TermPool,
+        oracle: &mut CommutativityOracle,
+        proof: &mut ProofAutomaton,
+        checked: usize,
+    ) -> Option<RecordedReduction> {
+        let max_visited = self
+            .config
+            .max_visited
+            .saturating_mul(RECORD_VISITED_HEADROOM);
+        let mut stats = CheckStats {
+            visited: checked,
+            ..CheckStats::default()
+        };
+        let skipped = std::mem::take(&mut self.skipped);
+        for key in &skipped {
+            self.visited.remove(key);
+        }
+        for key in skipped {
+            if !self.visited.contains_key(&key)
+                && self.dfs(pool, oracle, proof, None, key, max_visited, &mut stats)
+                    != CheckResult::Proven
+            {
+                return None;
+            }
+        }
+        // The walk tests its cap only while a state is left to expand, so
+        // covered states alone can still exceed it.
+        if stats.visited > max_visited {
+            return None;
+        }
+        let mut r = self.rec.expect("a recording walk");
         // Membranes consume the whole unconditional commutativity
         // relation, so the certificate must carry it whenever membranes
         // (or condition-free sleep sets) are in play. The oracle has every
         // pair cached from `PersistentSets::new`, so this is a table scan,
         // not a solver sweep.
-        if persistent.is_some() || (config.use_sleep && !config.proof_sensitive) {
+        if self.persistent.is_some() || (self.config.use_sleep && !self.config.proof_sensitive) {
+            let program = self.program;
             for a in program.letters() {
                 for b in program.letters() {
                     if a < b
                         && program.thread_of(a) != program.thread_of(b)
                         && oracle.commute(pool, program, a, b)
                     {
-                        r.ucommute.insert((a, b));
+                        r.ucommute(a, b);
                     }
                 }
             }
         }
+        Some(r.finish())
     }
 
-    let mut visited: BTreeMap<Key, VisitStatus> = BTreeMap::new();
-    let mut stack: Vec<Frame> = Vec::new();
+    /// The initial state's key; a recording walk notes its proof state.
+    fn root(&mut self, pool: &mut TermPool, proof: &mut ProofAutomaton) -> Key {
+        let init_formula = pool.and([self.program.init_formula(), self.program.pre()]);
+        let phi0 = proof.initial_state(pool, init_formula);
+        if let Some(r) = self.rec.as_mut() {
+            r.initial = Some(phi0);
+        }
+        let sleep = BitSet::new(self.program.num_letters());
+        (self.program.initial_state(), phi0, sleep, 0)
+    }
 
-    // Enters a new state: returns its frame when it must be expanded and
-    // None when the cross-round cache skips it or it is covered; returns
-    // from the walk with the trace when it is an uncovered accepting state.
-    macro_rules! enter {
-        ($key:expr, $via:expr) => {{
-            let (q, phi, sleep, ctx): Key = $key;
-            let via: Option<LetterId> = $via;
-            let skip = useless.as_deref().is_some_and(|cache| {
-                stats.useless_probes += 1;
-                cache.is_useless(&q, &sleep, ctx, proof.assertion_set(phi))
-            });
-            let done = if skip {
-                stats.cache_skips += 1;
+    /// Enters a new state: probes the cross-round cache, then classifies
+    /// the state as covered, accepting or to be expanded.
+    fn enter(
+        &mut self,
+        pool: &mut TermPool,
+        proof: &mut ProofAutomaton,
+        useless: Option<&UselessCache>,
+        (q, phi, sleep, ctx): Key,
+        via: Option<LetterId>,
+        stats: &mut CheckStats,
+    ) -> Entered {
+        let skip = useless.is_some_and(|cache| {
+            stats.useless_probes += 1;
+            cache.is_useless(&q, &sleep, ctx, proof.assertion_set(phi))
+        });
+        let done = if skip {
+            stats.cache_skips += 1;
+            if self.rec.is_some() {
+                self.skipped.push((q.clone(), phi, sleep.clone(), ctx));
+            }
+            true
+        } else {
+            stats.visited += 1;
+            if proof.is_bottom(pool, phi) {
+                // Covered: the prefix is already proven infeasible.
+                if let Some(r) = self.rec.as_mut() {
+                    r.bottoms.insert(phi);
+                }
+                true
+            } else if self.program.is_accepting(&q, self.spec) {
+                let violated = match self.spec {
+                    Spec::ErrorOf(_) => true, // reachable error, not refuted
+                    Spec::PrePost => !proof.implies_post(pool, phi, self.program.post()),
+                };
+                if violated {
+                    return Entered::Violated;
+                }
+                if let Some(r) = self.rec.as_mut() {
+                    r.safes.insert(phi);
+                }
                 true
             } else {
-                stats.visited += 1;
-                if proof.is_bottom(pool, phi) {
-                    // Covered: the prefix is already proven infeasible.
-                    if let Some(r) = rec.as_deref_mut() {
-                        r.bottoms.insert(phi);
-                    }
-                    true
-                } else if program.is_accepting(&q, spec) {
-                    let violated = match spec {
-                        Spec::ErrorOf(_) => true, // reachable error, not refuted
-                        Spec::PrePost => !proof.implies_post(pool, phi, program.post()),
-                    };
-                    if violated {
-                        let trace = stack.iter().filter_map(|f| f.via).chain(via).collect();
-                        return CheckResult::Counterexample(trace);
-                    }
-                    if let Some(r) = rec.as_deref_mut() {
-                        r.safes.insert(phi);
-                    }
-                    true
-                } else {
-                    false
-                }
-            };
-            if done {
-                visited.insert((q, phi, sleep, ctx), VisitStatus::DoneClean);
-                None
-            } else {
-                let enabled = program.enabled(&q);
-                let mut explore: Vec<LetterId> = match persistent {
-                    Some(ps) => ps.compute(program, &q, order, ctx, membrane_mode),
-                    None => enabled.clone(),
-                };
-                if config.use_sleep {
-                    explore.retain(|l| !sleep.contains(l.index()));
-                }
-                // Deterministic DFS order: most preferred letter first.
-                explore.sort_by_key(|&l| order.rank(ctx, l, program));
-                visited.insert((q.clone(), phi, sleep.clone(), ctx), VisitStatus::OnStack);
-                Some(Frame {
-                    q,
-                    phi,
-                    sleep,
-                    ctx,
-                    via,
-                    explore,
-                    enabled,
-                    next: 0,
-                    tainted: false,
-                })
+                false
             }
-        }};
+        };
+        if done {
+            self.visited
+                .insert((q, phi, sleep, ctx), VisitStatus::DoneClean);
+            return Entered::Done;
+        }
+        let enabled = self.program.enabled(&q);
+        let mut explore: Vec<LetterId> = match self.persistent {
+            Some(ps) => ps.compute(self.program, &q, self.order, ctx, self.membrane_mode),
+            None => enabled.clone(),
+        };
+        if self.config.use_sleep {
+            explore.retain(|l| !sleep.contains(l.index()));
+        }
+        // Deterministic DFS order: most preferred letter first.
+        explore.sort_by_key(|&l| self.order.rank(ctx, l, self.program));
+        self.visited
+            .insert((q.clone(), phi, sleep.clone(), ctx), VisitStatus::OnStack);
+        Entered::Expand(Frame {
+            q,
+            phi,
+            sleep,
+            ctx,
+            via,
+            explore,
+            enabled,
+            next: 0,
+            tainted: false,
+        })
     }
 
-    let root: Key = (program.initial_state(), phi0, BitSet::new(n_letters), 0);
-    match enter!(root, None) {
-        Some(f) => stack.push(f),
-        None => return CheckResult::Proven,
-    }
+    /// The DFS from `root`: check mode when `useless` is given. Returns
+    /// [`CheckResult::LimitReached`] once more than `max_visited` states
+    /// are counted in `stats`.
+    #[allow(clippy::too_many_arguments)]
+    fn dfs(
+        &mut self,
+        pool: &mut TermPool,
+        oracle: &mut CommutativityOracle,
+        proof: &mut ProofAutomaton,
+        mut useless: Option<&mut UselessCache>,
+        root: Key,
+        max_visited: usize,
+        stats: &mut CheckStats,
+    ) -> CheckResult {
+        let governor = pool.governor().clone();
+        let (program, order, config) = (self.program, self.order, self.config);
+        let n_letters = program.num_letters();
+        let mut stack: Vec<Frame> = Vec::new();
+        match self.enter(pool, proof, useless.as_deref(), root, None, stats) {
+            Entered::Expand(f) => stack.push(f),
+            Entered::Done => return CheckResult::Proven,
+            Entered::Violated => return CheckResult::Counterexample(Vec::new()),
+        }
 
-    while let Some(frame) = stack.last_mut() {
-        if stats.visited > config.max_visited {
-            return CheckResult::LimitReached;
-        }
-        // One DFS state per iteration; the charge also observes the
-        // deadline and any injected fault, so a round aborts mid-DFS
-        // rather than between rounds.
-        if let Err(give_up) = governor.charge(Category::DfsStates) {
-            return CheckResult::Interrupted(give_up);
-        }
-        if frame.next >= frame.explore.len() {
-            // Subtree done: pop, record, propagate taint. Only the
-            // useless-cache marking reads the status and the taint, so a
-            // recording walk leaves the `OnStack` entry, whose presence
-            // alone dedups.
-            let frame = stack.pop().expect("frame exists");
-            let Some(cache) = useless.as_deref_mut() else {
+        while let Some(frame) = stack.last_mut() {
+            if stats.visited > max_visited {
+                return CheckResult::LimitReached;
+            }
+            // One DFS state per iteration; the charge also observes the
+            // deadline and any injected fault, so a round aborts mid-DFS
+            // rather than between rounds.
+            if let Err(give_up) = governor.charge(Category::DfsStates) {
+                return CheckResult::Interrupted(give_up);
+            }
+            if frame.next >= frame.explore.len() {
+                // Subtree done: pop, record, propagate taint. Only the
+                // useless-cache marking reads the status and the taint, so
+                // a walk without a cache leaves the `OnStack` entry, whose
+                // presence alone dedups.
+                let frame = stack.pop().expect("frame exists");
+                let Some(cache) = useless.as_deref_mut() else {
+                    continue;
+                };
+                let status = if frame.tainted {
+                    if let Some(parent) = stack.last_mut() {
+                        parent.tainted = true;
+                    }
+                    VisitStatus::DoneTainted
+                } else {
+                    cache.mark(
+                        frame.q.clone(),
+                        frame.sleep.clone(),
+                        frame.ctx,
+                        proof.assertion_set(frame.phi).to_vec(),
+                    );
+                    VisitStatus::DoneClean
+                };
+                self.visited
+                    .insert((frame.q, frame.phi, frame.sleep, frame.ctx), status);
                 continue;
-            };
-            let status = if frame.tainted {
-                if let Some(parent) = stack.last_mut() {
-                    parent.tainted = true;
-                }
-                VisitStatus::DoneTainted
-            } else {
-                cache.mark(
-                    frame.q.clone(),
-                    frame.sleep.clone(),
-                    frame.ctx,
-                    proof.assertion_set(frame.phi).to_vec(),
-                );
-                VisitStatus::DoneClean
-            };
-            visited.insert((frame.q, frame.phi, frame.sleep, frame.ctx), status);
-            continue;
-        }
-        let a = frame.explore[frame.next];
-        frame.next += 1;
+            }
+            let a = frame.explore[frame.next];
+            frame.next += 1;
 
-        let (phi, ctx) = (frame.phi, frame.ctx);
-        let next_q = program
-            .step(&frame.q, a)
-            .expect("explored letter is enabled");
-        let next_phi = proof.step(pool, program, phi, a);
-        let next_ctx = order.step(ctx, a, program);
-        if let Some(r) = rec.as_deref_mut() {
-            r.edges.insert((phi, a, next_phi));
-        }
-        let mut next_sleep = BitSet::new(n_letters);
-        if config.use_sleep {
-            let condition: TermId = if config.proof_sensitive {
-                proof.conjunction(phi)
-            } else {
-                TermPool::TRUE
-            };
-            for &b in &frame.enabled {
-                let earlier = frame.sleep.contains(b.index()) || order.less(ctx, b, a, program);
-                if earlier && oracle.commute_under(pool, program, condition, a, b) {
-                    next_sleep.insert(b.index());
-                    if let Some(r) = rec.as_deref_mut() {
-                        if config.proof_sensitive {
-                            r.claims.insert((a, b, phi));
-                        } else {
-                            r.ucommute.insert((a.min(b), a.max(b)));
+            let (phi, ctx) = (frame.phi, frame.ctx);
+            let next_q = program
+                .step(&frame.q, a)
+                .expect("explored letter is enabled");
+            let next_phi = proof.step(pool, program, phi, a);
+            let next_ctx = order.step(ctx, a, program);
+            if let Some(r) = self.rec.as_mut() {
+                r.edge(phi, a, next_phi);
+            }
+            let mut next_sleep = BitSet::new(n_letters);
+            if config.use_sleep {
+                let condition: TermId = if config.proof_sensitive {
+                    proof.conjunction(phi)
+                } else {
+                    TermPool::TRUE
+                };
+                for &b in &frame.enabled {
+                    let earlier = frame.sleep.contains(b.index()) || order.less(ctx, b, a, program);
+                    if earlier && oracle.commute_under(pool, program, condition, a, b) {
+                        next_sleep.insert(b.index());
+                        if let Some(r) = self.rec.as_mut() {
+                            if config.proof_sensitive {
+                                r.claim(a, b, phi);
+                            } else {
+                                r.ucommute(a, b);
+                            }
                         }
                     }
                 }
             }
-        }
 
-        let key: Key = (next_q, next_phi, next_sleep, next_ctx);
-        if let Some(&status) = visited.get(&key) {
-            // An edge into the stack, directly or through a tainted
-            // state, taints the parent.
-            frame.tainted |= status != VisitStatus::DoneClean;
-            continue;
+            let key: Key = (next_q, next_phi, next_sleep, next_ctx);
+            if let Some(&status) = self.visited.get(&key) {
+                // An edge into the stack, directly or through a tainted
+                // state, taints the parent.
+                frame.tainted |= status != VisitStatus::DoneClean;
+                continue;
+            }
+            match self.enter(pool, proof, useless.as_deref(), key, Some(a), stats) {
+                Entered::Expand(f) => stack.push(f),
+                Entered::Done => {}
+                Entered::Violated => {
+                    let trace = stack.iter().filter_map(|f| f.via).chain(Some(a));
+                    return CheckResult::Counterexample(trace.collect());
+                }
+            }
         }
-        if let Some(f) = enter!(key, Some(a)) {
-            stack.push(f)
-        }
+        CheckResult::Proven
     }
-    CheckResult::Proven
 }
 
 #[cfg(test)]

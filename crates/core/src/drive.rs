@@ -16,8 +16,8 @@
 //!   pool before each of its rounds (the caller's settings are restored at
 //!   the end).
 //! * **Per round** (`Seat::step`): honour the member's `max_rounds`,
-//!   charge [`Category::Rounds`], contain panics at round granularity,
-//!   and record the certificate when the round proves the spec.
+//!   charge [`Category::Rounds`] and contain panics at round granularity;
+//!   a proving round leaves its certificate on the engine.
 //! * **Around attempts**, one ladder: a give-up escalates every member's
 //!   deadline and step budgets (and `max_visited_per_round`) by the
 //!   [`RetryPolicy`], recycles the proof of the failed spec as seeds, and
@@ -27,12 +27,13 @@
 //!
 //! **Counters.** Each engine accumulates its own [`RunStats`]; each spec
 //! phase folds every member's record, plus one record carrying the shared
-//! proof's `hoare_checks` (read before any certificate-recording walk) and
-//! size, through [`RunStats::merge`]. Query-cache counters follow one
-//! rule: the delta of the run's cache between the start and the end of
-//! [`drive`] — engine set-up, rounds and certificate recording included,
-//! across attempts — or zero when no member uses the cache. The delta is
-//! exact when nothing else uses the cache concurrently.
+//! proof's `hoare_checks` (read before the proving round's certificate
+//! resumption extends δ) and size, through [`RunStats::merge`].
+//! Query-cache counters follow one rule: the delta of the run's cache
+//! between the start and the end of [`drive`] — engine set-up, rounds and
+//! certificate recording included, across attempts — or zero when no
+//! member uses the cache. The delta is exact when nothing else uses the
+//! cache concurrently.
 //!
 //! **Soundness of recycling.** Seeds are only ever *candidate* assertions:
 //! the proof automaton re-validates every transition with a Hoare query and
@@ -425,11 +426,6 @@ impl Member {
 #[derive(Default)]
 struct Seat {
     engine: Option<Engine>,
-    /// The proof's Hoare checks when this seat proved its spec, read
-    /// before the certificate-recording walk.
-    proven_hoare_checks: Option<usize>,
-    /// The certificate recorded when this seat proved its spec.
-    cert: Option<SpecCert>,
 }
 
 impl Seat {
@@ -440,8 +436,7 @@ impl Seat {
     /// One refinement round of `config` against `proof` under the
     /// governor installed on `pool`.
     /// Creates the engine on first use, honours `max_rounds`, charges
-    /// [`Category::Rounds`], records the certificate when the round proves
-    /// the spec, and contains panics as [`Category::InjectedFault`]
+    /// [`Category::Rounds`] and contains panics as [`Category::InjectedFault`]
     /// give-ups (the engine and proof stay usable for the harvest).
     fn step(
         &mut self,
@@ -465,12 +460,7 @@ impl Seat {
             if let Err(g) = governor.charge(Category::Rounds) {
                 return RoundOutcome::GaveUp(g);
             }
-            let outcome = engine.round(pool, program, proof);
-            if outcome == RoundOutcome::Proven {
-                self.proven_hoare_checks = Some(proof.stats().hoare_checks);
-                self.cert = engine.record_spec_cert(pool, program, proof);
-            }
-            outcome
+            engine.round(pool, program, proof)
         }))
         .unwrap_or_else(|payload| {
             RoundOutcome::GaveUp(
@@ -658,9 +648,9 @@ impl Ladder {
                 status,
             });
         }
-        let (proven_hoare_checks, cert) = winner.map_or((None, None), |w| {
-            (seats[w].proven_hoare_checks, seats[w].cert.take())
-        });
+        let (proven_hoare_checks, cert) = winner
+            .and_then(|w| seats[w].engine.as_mut()?.take_proven())
+            .unzip();
         self.stats.merge(&RunStats {
             hoare_checks: proven_hoare_checks.unwrap_or_else(|| proof.stats().hoare_checks),
             proof_size,
@@ -671,7 +661,7 @@ impl Ladder {
         match end {
             End::Proven => {
                 self.winner = winner;
-                self.spec_certs.push(cert);
+                self.spec_certs.push(cert.flatten());
             }
             End::Bug(_) => self.winner = winner,
             End::GaveUp(_) | End::Interrupted => self.recycled.extend(&harvest),

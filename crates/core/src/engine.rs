@@ -11,9 +11,7 @@
 //! order based on partial verification efforts").
 
 use crate::certify::SpecCert;
-use crate::check::{
-    check_proof, record_reduction, CheckConfig, CheckResult, CheckStats, UselessCache,
-};
+use crate::check::{CheckConfig, CheckResult, CheckStats, RecordedReduction, UselessCache, Walk};
 use crate::govern::{Category, GiveUp};
 use crate::interpolate::{analyze_trace, TraceResult};
 use crate::proof::ProofAutomaton;
@@ -108,6 +106,9 @@ pub struct Engine {
     useless: UselessCache,
     check_config: CheckConfig,
     history: TraceHistory,
+    /// Left by the last proving round: the proof's Hoare checks as read
+    /// before certification, and the round's certificate.
+    proven: Option<(usize, Option<SpecCert>)>,
 }
 
 impl Engine {
@@ -140,6 +141,7 @@ impl Engine {
                 ..CheckConfig::default()
             },
             history: TraceHistory::new(),
+            proven: None,
         }
     }
 
@@ -148,31 +150,26 @@ impl Engine {
         self.spec
     }
 
-    /// Records this engine's certificate for `proof` after a round
-    /// returned [`RoundOutcome::Proven`]: the proof-check DFS runs once
-    /// more, in recording mode with no useless-state cache, over the
-    /// covered reduction. Returns `None` when certification is disabled
-    /// for the engine's configuration or the walk tripped its state cap
-    /// or the governor (counted in `certs_dropped`).
-    pub fn record_spec_cert(
+    /// Takes what the last proving round left: the proof's Hoare checks
+    /// as read before certification, and the round's certificate (`None`
+    /// when certification is disabled for the engine's configuration or
+    /// was dropped).
+    pub fn take_proven(&mut self) -> Option<(usize, Option<SpecCert>)> {
+        self.proven.take()
+    }
+
+    /// Turns a proving round's recorded reduction into this engine's
+    /// certificate for `proof`. The round recorded it while checking and
+    /// then resumed under its useless-cache skips; `None` means that
+    /// resumption tripped its state cap or the governor, which counts in
+    /// `certs_dropped`.
+    fn record_spec_cert(
         &mut self,
-        pool: &mut TermPool,
-        program: &Program,
-        proof: &mut ProofAutomaton,
+        pool: &TermPool,
+        proof: &ProofAutomaton,
+        rec: Option<RecordedReduction>,
     ) -> Option<SpecCert> {
-        if !self.certify {
-            return None;
-        }
-        let Some(rec) = record_reduction(
-            pool,
-            program,
-            self.spec,
-            self.order.as_ref(),
-            &mut self.oracle,
-            self.persistent.as_ref(),
-            proof,
-            &self.check_config,
-        ) else {
+        let Some(rec) = rec else {
             self.stats.certs_dropped += 1;
             return None;
         };
@@ -187,7 +184,10 @@ impl Engine {
     }
 
     /// Runs one proof-check round against `proof` and, on an uncovered
-    /// trace, refines `proof` (or reports the bug).
+    /// trace, refines `proof` (or reports the bug). With certification
+    /// on, the round records its reduction while it checks; when it
+    /// proves the spec, it leaves the certificate for
+    /// [`Engine::take_proven`].
     pub fn round(
         &mut self,
         pool: &mut TermPool,
@@ -195,19 +195,17 @@ impl Engine {
         proof: &mut ProofAutomaton,
     ) -> RoundOutcome {
         self.stats.rounds += 1;
+        self.proven = None;
         let mut round = CheckStats::default();
-        let result = check_proof(
-            pool,
+        let mut walk = Walk::new(
             program,
             self.spec,
             self.order.as_ref(),
-            &mut self.oracle,
             self.persistent.as_ref(),
-            proof,
-            &mut self.useless,
             &self.check_config,
-            &mut round,
+            self.certify,
         );
+        let result = walk.check(pool, &mut self.oracle, proof, &mut self.useless, &mut round);
         self.stats.merge(&RunStats {
             visited_states: round.visited,
             max_round_visited: round.visited,
@@ -217,7 +215,18 @@ impl Engine {
         });
         self.stats.useless_len = self.useless.len();
         match result {
-            CheckResult::Proven => RoundOutcome::Proven,
+            CheckResult::Proven => {
+                // Read before the resumption extends δ under the skips.
+                let hoare_checks = proof.stats().hoare_checks;
+                let cert = if self.certify {
+                    let rec = walk.resume(pool, &mut self.oracle, proof, round.visited);
+                    self.record_spec_cert(pool, proof, rec)
+                } else {
+                    None
+                };
+                self.proven = Some((hoare_checks, cert));
+                RoundOutcome::Proven
+            }
             CheckResult::LimitReached => RoundOutcome::GaveUp(GiveUp::new(
                 Category::DfsStates,
                 format!(
@@ -399,6 +408,58 @@ mod tests {
             panic!("{outcome:?}");
         };
         assert_eq!(trace.len(), 2);
+    }
+
+    /// A round that proves within its state budget, but whose check plus
+    /// resumption exceed [`crate::check::RECORD_VISITED_HEADROOM`] times
+    /// that budget, still proves: only its certificate is dropped and
+    /// counted. A round over an already proven proof skips the initial
+    /// state itself, so its check enters no state and its resumption walks
+    /// the whole reduction.
+    #[test]
+    fn a_round_over_the_recording_headroom_proves_without_a_certificate() {
+        let source = "var x: int = 0;
+            thread inc { x := x + 1; }
+            thread check { assert x >= 0; }
+            spawn inc * 3;
+            spawn check;";
+        let mut pool = TermPool::new();
+        let p = cpl::compile(source, &mut pool).expect("compiles");
+        let spec = crate::verify::specs_of(&p)[0];
+        let mut engine = Engine::new(&mut pool, &p, spec, &VerifierConfig::gemcutter_seq());
+        let mut proof = ProofAutomaton::new();
+        let mut outcome = RoundOutcome::Refined;
+        while outcome == RoundOutcome::Refined {
+            outcome = engine.round(&mut pool, &p, &mut proof);
+        }
+        assert_eq!(outcome, RoundOutcome::Proven);
+        let (_, cert) = engine.take_proven().expect("a proving round");
+        let cert = cert.expect("certified under the default budget");
+
+        let (visited, skips) = (engine.stats.visited_states, engine.stats.cache_skips);
+        assert_eq!(
+            engine.round(&mut pool, &p, &mut proof),
+            RoundOutcome::Proven
+        );
+        assert_eq!(
+            engine.stats.visited_states, visited,
+            "the check entered no state"
+        );
+        assert_eq!(
+            engine.stats.cache_skips,
+            skips + 1,
+            "it skipped the initial state"
+        );
+        let (_, resumed) = engine.take_proven().expect("a proving round");
+        assert_eq!(resumed, Some(cert), "resuming from the initial state");
+
+        engine.check_config.max_visited = 1;
+        assert_eq!(
+            engine.round(&mut pool, &p, &mut proof),
+            RoundOutcome::Proven
+        );
+        assert_eq!(engine.take_proven().map(|(_, cert)| cert), Some(None));
+        assert_eq!(engine.stats.certs_dropped, 1);
     }
 
     #[test]

@@ -79,8 +79,9 @@ pub struct VerifierConfig {
     /// Maximum refinement rounds before giving up.
     pub max_rounds: usize,
     /// Maximum visited states per proof-check round. One documented
-    /// budget for the one DFS: a check round stops at this bound and
-    /// certificate recording at [`crate::check::RECORD_VISITED_HEADROOM`]
+    /// budget for the one DFS: a check round stops at this bound, and its
+    /// certificate is dropped when the check plus the recording
+    /// resumption visit more than [`crate::check::RECORD_VISITED_HEADROOM`]
     /// times it (both charge `Category::DfsStates` per state, so
     /// [`GovernorConfig`] owns the run-wide limit).
     pub max_visited_per_round: usize,
@@ -96,10 +97,11 @@ pub struct VerifierConfig {
     /// legacy ablation baseline). Installed on the pool for the
     /// duration of the run, like the governor and the query cache.
     pub solver: SolverKind,
-    /// Emit a checkable [`Certificate`] with every conclusive verdict
-    /// (one recording pass over the final reduction per proven spec).
-    /// When recording cannot complete — e.g. the governor trips mid-pass —
-    /// the verdict is reported without a certificate rather than delayed.
+    /// Emit a checkable [`Certificate`] with every conclusive verdict:
+    /// every check round records its reduction, and a proving round then
+    /// walks on under its useless-cache skips. When recording cannot
+    /// complete — e.g. the governor trips mid-walk — the verdict is
+    /// reported without a certificate rather than delayed.
     pub certify: bool,
 }
 
@@ -245,8 +247,8 @@ pub struct RunStats {
     /// Largest single-round visited count.
     pub max_round_visited: usize,
     /// Hoare-triple solver queries of the run's proofs, summed over specs
-    /// (a proof shared by several engines counts once), read before any
-    /// certificate-recording walk.
+    /// (a proof shared by several engines counts once), read when the
+    /// proving round's check ends, before its certificate resumption.
     pub hoare_checks: usize,
     /// Useless-cache skips (§7.2 optimization effectiveness).
     pub cache_skips: usize,
@@ -266,7 +268,7 @@ pub struct RunStats {
     /// Solver queries that fell through to a real solve (same rule).
     pub qcache_misses: u64,
     /// Proven results whose certificate was dropped because the recording
-    /// walk tripped its state budget or the resource governor.
+    /// resumption tripped its state budget or the resource governor.
     pub certs_dropped: usize,
 }
 

@@ -11,12 +11,20 @@
 
 use proptest::prelude::*;
 use seqver::bench_suite::{self, Expected};
-use seqver::gemcutter::certify::{check_certificate, CertMutation, Certificate, CertifyMode};
+use seqver::gemcutter::certify::{
+    check_certificate, CertMutation, Certificate, CertifyMode, SpecCert,
+};
+use seqver::gemcutter::check::{
+    check_proof, record_reduction, CheckConfig, CheckResult, CheckStats, UselessCache,
+};
 use seqver::gemcutter::engine::{Engine, RoundOutcome};
+use seqver::gemcutter::interpolate::{analyze_trace, InterpolationStats, TraceResult};
 use seqver::gemcutter::proof::ProofAutomaton;
 use seqver::gemcutter::snapshot::fnv1a;
 use seqver::gemcutter::verify::{specs_of, verify, Verdict, VerifierConfig};
-use seqver::program::concurrent::Program;
+use seqver::program::commutativity::CommutativityOracle;
+use seqver::program::concurrent::{Program, Spec};
+use seqver::reduction::persistent::PersistentSets;
 use seqver::smt::TermPool;
 use std::sync::OnceLock;
 
@@ -179,6 +187,132 @@ fn safe_certificates_are_byte_identical_to_the_pinned_ones() {
     }
     // Recording expands the subtrees such a round skipped.
     assert!(skipped, "no pinned fixture's conclusive round took a skip");
+}
+
+/// The certificate of `spec` as the stand-alone re-walk records it: the
+/// refinement loop re-run from outside with [`check_proof`] on its own
+/// pool, proof and useless-state cache, then [`record_reduction`] from the
+/// initial state. `None` when the spec has a bug.
+fn rewalk_cert(source: &str, spec: Spec) -> Option<SpecCert> {
+    let mut pool = TermPool::new();
+    let program = compile(source, &mut pool);
+    let config = VerifierConfig::gemcutter_seq();
+    let order = config.order.build();
+    let mut oracle = CommutativityOracle::new(config.commutativity);
+    let persistent = PersistentSets::new(&mut pool, &program, &mut oracle);
+    let check_config = CheckConfig {
+        max_visited: config.max_visited_per_round,
+        ..CheckConfig::default()
+    };
+    let mut proof = ProofAutomaton::new();
+    let mut useless = UselessCache::new();
+    loop {
+        let result = check_proof(
+            &mut pool,
+            &program,
+            spec,
+            order.as_ref(),
+            &mut oracle,
+            Some(&persistent),
+            &mut proof,
+            &mut useless,
+            &check_config,
+            &mut CheckStats::default(),
+        );
+        let trace = match result {
+            CheckResult::Proven => break,
+            CheckResult::Counterexample(trace) => trace,
+            other => panic!("unexpected check result {other:?}"),
+        };
+        let mut stats = InterpolationStats::default();
+        match analyze_trace(&mut pool, &program, &trace, spec, &mut stats) {
+            TraceResult::Infeasible { chain } => {
+                for a in chain {
+                    proof.add_assertion(a);
+                }
+            }
+            TraceResult::Feasible => return None,
+            TraceResult::Unknown => panic!("trace feasibility undecided"),
+        }
+    }
+    let rec = record_reduction(
+        &mut pool,
+        &program,
+        spec,
+        order.as_ref(),
+        &mut oracle,
+        Some(&persistent),
+        &mut proof,
+        &check_config,
+    )
+    .expect("the re-walk fits its budget");
+    Some(SpecCert::from_recorded(
+        &pool,
+        &proof,
+        &rec,
+        spec,
+        &config.order,
+        &check_config,
+    ))
+}
+
+/// A proving round records its certificate while it checks and then walks
+/// on only under its useless-cache skips. What it records must equal what
+/// a re-walk of the whole reduction records after the same rounds, field
+/// by field. The two pipelines run on separate proof automata, so proof
+/// states are also created in the same order: a certificate numbers its
+/// nodes by that order. Each fixture's proving rounds take skips.
+#[test]
+fn the_proving_round_records_what_the_rewalk_records() {
+    let bluetooth = bench_suite::all()
+        .into_iter()
+        .find(|b| b.name == "bluetooth-2")
+        .expect("bluetooth-2 is in the suite");
+    for (name, source) in [
+        ("bluetooth-2", bluetooth.source),
+        ("parallel_add(5)", bench_suite::generators::parallel_add(5)),
+        (
+            "shared_counter(3,2,6)",
+            bench_suite::generators::shared_counter(3, 2, 6),
+        ),
+    ] {
+        let mut pool = TermPool::new();
+        let program = compile(&source, &mut pool);
+        let config = VerifierConfig::gemcutter_seq();
+        let (mut proven, mut skips) = (0, 0);
+        for spec in specs_of(&program) {
+            let mut engine = Engine::new(&mut pool, &program, spec, &config);
+            let mut proof = ProofAutomaton::new();
+            let proving = loop {
+                let before = engine.stats.cache_skips;
+                match engine.round(&mut pool, &program, &mut proof) {
+                    RoundOutcome::Refined => {}
+                    RoundOutcome::Proven => break Some(before),
+                    RoundOutcome::Bug(_) => break None,
+                    RoundOutcome::GaveUp(g) => panic!("{name}: gave up: {g}"),
+                }
+            };
+            let Some(before) = proving else {
+                assert!(rewalk_cert(&source, spec).is_none(), "{name}: verdicts");
+                continue;
+            };
+            skips += engine.stats.cache_skips - before;
+            proven += 1;
+            let (_, cert) = engine.take_proven().expect("a proving round");
+            let round = cert.unwrap_or_else(|| panic!("{name}: certificate dropped"));
+            let rewalk = rewalk_cert(&source, spec).expect("the re-walk proves the spec");
+            assert_eq!(round.initial, rewalk.initial, "{name}: initial");
+            assert_eq!(round.annotations, rewalk.annotations, "{name}: nodes");
+            assert_eq!(round.edges, rewalk.edges, "{name}: edges");
+            assert_eq!(round.bottoms, rewalk.bottoms, "{name}: bottoms");
+            assert_eq!(round.safes, rewalk.safes, "{name}: safes");
+            assert_eq!(round.claims, rewalk.claims, "{name}: claims");
+            assert_eq!(round.ucommute, rewalk.ucommute, "{name}: ucommute");
+            assert_eq!(round, rewalk, "{name}: certificate");
+        }
+        assert!(proven > 0, "{name}: no spec proven");
+        assert!(skips > 0, "{name}: no proving round took a skip");
+    }
 }
 
 /// The mutations applicable to a CORRECT (proof) certificate.

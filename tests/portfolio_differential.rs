@@ -229,7 +229,7 @@ proptest! {
 /// retry ladder, a checkpointed run and one cold request to a fresh
 /// in-process daemon run the same engine rounds, so they must report every
 /// counter of [`RunStats::counters`] with the same value: none may drop
-/// one, none may count the Hoare checks of the certificate-recording walk,
+/// one, none may count the Hoare checks of the certificate resumption,
 /// and the drivers attribute the query cache by the same rule. The daemon
 /// spells each key with `-` for `_`; its `qcache` pair is the shared
 /// cache's, not a run's, so it is left out. New counters are covered
@@ -310,5 +310,63 @@ fn every_driver_path_reports_every_counter() {
         }
         client.shutdown().expect("shutdown");
         daemon.join().expect("daemon thread").expect("clean drain");
+    }
+}
+
+/// Certification changes no run counter. A proving round records its
+/// reduction while it checks, and it walks on under its useless-cache
+/// skips only after the proof's Hoare checks are read. So a certifying
+/// run and a run with `certify: false` go through the same rounds and
+/// report the same counters. Only the query-cache pair (the resumption
+/// asks the solver too) and `certs_dropped` may differ.
+#[test]
+fn certification_changes_no_run_counter() {
+    use seqver::bench_suite::generators as gen;
+    let mut programs = vec![
+        ("bluetooth(4)".to_owned(), gen::bluetooth(4)),
+        ("parallel_add(5)".to_owned(), gen::parallel_add(5)),
+        (
+            "shared_counter(4,2,8)".to_owned(),
+            gen::shared_counter(4, 2, 8),
+        ),
+        ("count_up_down(8)".to_owned(), gen::count_up_down(8)),
+    ];
+    for name in ["bluetooth", "chain-medium", "chain-trio", "counter"] {
+        let path = format!("{}/examples/cpl/{name}.cpl", env!("CARGO_MANIFEST_DIR"));
+        let source = std::fs::read_to_string(&path).expect("example source");
+        programs.push((format!("{name}.cpl"), source));
+    }
+    let certifying = VerifierConfig::gemcutter_seq();
+    let plain = VerifierConfig {
+        certify: false,
+        ..certifying.clone()
+    };
+    let run = |source: &str, config: &VerifierConfig| {
+        let mut pool = TermPool::new();
+        let program = seqver::cpl::compile(source, &mut pool).expect("compiles");
+        let outcome = verify(&mut pool, &program, config);
+        let counters: Vec<(&str, u64)> = outcome
+            .stats
+            .counters()
+            .into_iter()
+            .filter(|(key, _)| !matches!(*key, "qcache_hits" | "qcache_misses" | "certs_dropped"))
+            .collect();
+        (outcome, counters)
+    };
+    for (name, source) in &programs {
+        let (certified, with) = run(source, &certifying);
+        let (uncertified, without) = run(source, &plain);
+        assert!(
+            certified.verdict.is_correct(),
+            "{name}: {:?}",
+            certified.verdict
+        );
+        assert!(certified.certificate.is_some(), "{name}: no certificate");
+        assert_eq!(uncertified.verdict, certified.verdict, "{name}: verdict");
+        assert!(
+            uncertified.certificate.is_none(),
+            "{name}: certified anyway"
+        );
+        assert_eq!(with, without, "{name}: counters");
     }
 }
