@@ -408,8 +408,8 @@ impl Member {
 
     /// Installs this member's governor, solver kind and query-cache
     /// setting on `pool`; `cache` is the run's cache. A member with the
-    /// cache disabled solves every query cold; other holders of the
-    /// shared cache are unaffected.
+    /// cache disabled memoizes nothing; other holders of the shared cache
+    /// are unaffected.
     fn install(&self, pool: &mut TermPool, cache: Option<&QueryCache>) {
         pool.set_governor(self.governor.clone());
         pool.set_solver_kind(self.config.solver);

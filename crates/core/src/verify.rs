@@ -89,8 +89,9 @@ pub struct VerifierConfig {
     /// injection. Unlimited by default.
     pub govern: GovernorConfig,
     /// Solver-level query memoization ([`smt::qcache`]). When disabled,
-    /// the pool's cache is removed for the duration of the run and every
-    /// query (and Hoare scope) solves cold — the measurement baseline.
+    /// the pool's cache is removed for the duration of the run: nothing is
+    /// memoized, and every query runs as it would have on a miss — the
+    /// measurement baseline.
     pub use_qcache: bool,
     /// Which boolean search engine answers SMT queries
     /// ([`SolverKind::Cdcl`] by default; [`SolverKind::Dpll`] is the

@@ -83,8 +83,8 @@ pub struct ServeConfig {
     pub io_timeout: Duration,
     /// Idle timeout between frames before a connection is closed politely.
     pub idle_timeout: Duration,
-    /// Default escalation-ladder retries per request (a request's own
-    /// `retries:` option wins).
+    /// Escalation-ladder retries per request, and the cap on a request's
+    /// own `retries:` option (a request may ask for fewer, not more).
     pub retries: u32,
     /// Crash-point injection plan (`--crash-at SITE:N`): deterministic
     /// `abort()`s at named durability sites, for the crash sweep.
@@ -103,6 +103,16 @@ pub struct ServeConfig {
     /// boundaries, for the mutation sweep. Every injected mutation must
     /// be caught by the audit — never served.
     pub cert_faults: Arc<CertFaultPlan>,
+}
+
+impl ServeConfig {
+    /// The retries a request asking for `requested` runs with: the
+    /// daemon's `retries`, lowered (never raised) by the request. The
+    /// worker's escalation ladder and the connection's backstop both use
+    /// this one value, so the backstop always outlasts the ladder.
+    fn retries_for(&self, requested: Option<u32>) -> u32 {
+        requested.map_or(self.retries, |r| r.min(self.retries))
+    }
 }
 
 impl Default for ServeConfig {
@@ -675,7 +685,7 @@ fn handle_verify(shared: &Shared, job: &Job) -> Response {
     // Hoare queries: soundness costs nothing, and every counter starts at
     // zero.
     let run = Run {
-        retry: RetryPolicy::with_retries(job.opts.retries.unwrap_or(shared.config.retries)),
+        retry: RetryPolicy::with_retries(shared.config.retries_for(job.opts.retries)),
         seed: warm.clone(),
         ..Run::single(&config)
     };
@@ -886,6 +896,7 @@ fn dispatch_verify(
             break;
         }
     }
+    let retries = shared.config.retries_for(opts.retries);
     let (reply_tx, reply_rx) = channel();
     let job = Job {
         id: id.clone(),
@@ -900,7 +911,7 @@ fn dispatch_verify(
     // Backstop only: the governor's deadline (capped by request_timeout,
     // escalated per retry) bounds real work, and panics are contained —
     // a worker always replies unless the process itself is dying.
-    let ladder = 1u32 << (shared.config.retries + 2).min(16);
+    let ladder = 1u32 << retries.saturating_add(2).min(16);
     let backstop = shared
         .config
         .request_timeout

@@ -349,6 +349,45 @@ fn budget_and_deadline_giveups_are_structured_per_request() {
     server.stop();
 }
 
+/// A request may lower the daemon's `--retries`, never raise it: the
+/// worker's escalation ladder and the connection's backstop then agree.
+/// A `retries: 5` request on a `--retries 0` daemon runs one 100 ms
+/// attempt instead of a six-rung ladder (100 ms doubling to 3.2 s).
+#[test]
+fn request_retries_are_capped_by_the_daemon() {
+    let server = TestServer::start(ServeConfig {
+        retries: 0,
+        ..fast_config()
+    });
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/cpl/chain-wide.cpl"
+    );
+    let source = std::fs::read_to_string(path).expect("read chain-wide.cpl");
+    let mut client = server.client();
+    let started = std::time::Instant::now();
+    let resp = client
+        .verify_source(
+            "chain-wide",
+            &source,
+            VerifyOpts {
+                timeout: Some(Duration::from_millis(100)),
+                retries: Some(5),
+                ..VerifyOpts::default()
+            },
+        )
+        .expect("response");
+    let elapsed = started.elapsed();
+    assert_eq!(resp.status, Some(Status::Ok), "{resp:?}");
+    assert_eq!(resp.verdict, Some(WireVerdict::GaveUp), "{resp:?}");
+    assert_eq!(resp.category.as_deref(), Some("deadline"), "{resp:?}");
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "a capped request took {elapsed:?}"
+    );
+    server.stop();
+}
+
 #[test]
 fn injected_panic_is_contained_by_the_supervisor() {
     let server = TestServer::start(fast_config());

@@ -30,7 +30,7 @@
 //! [`Category::CdclConflicts`] per conflict analysis, and
 //! [`Category::SimplexPivots`] inside the incremental theory checks.
 
-use crate::lia::{check_integer_governed, LiaResult};
+use crate::lia::{check_integer_governed, LiaResult, DEFAULT_BB_BUDGET};
 use crate::linear::{LinearConstraint, VarId};
 use crate::resource::{Category, ResourceGovernor};
 use crate::simplex::{IncrementalSimplex, SimplexMark, TheoryResult};
@@ -164,6 +164,9 @@ pub struct AuditReport {
     pub restarts: u64,
 }
 
+/// Boolean search steps per query (CDCL decisions, legacy DPLL branch
+/// nodes) before the search gives up with `Unknown`.
+pub const DECISION_BUDGET: usize = 100_000;
 /// Geometric restart schedule: first restart after this many conflicts.
 const RESTART_FIRST: u64 = 100;
 /// Activity decay per conflict (`var_inc /= VAR_DECAY`).
@@ -824,7 +827,7 @@ impl CdclSolver {
     /// All active variables are assigned and propagation is at a
     /// conflict-free fixpoint: decide Sat via the warm rational model or
     /// branch-and-bound, or block this boolean solution.
-    fn candidate(&mut self, governor: &ResourceGovernor, bb_budget: usize) -> Candidate {
+    fn candidate(&mut self, governor: &ResourceGovernor) -> Candidate {
         let mut cs: Vec<LinearConstraint> = Vec::new();
         let mut true_atoms: Vec<BVar> = Vec::new();
         for &l in &self.trail {
@@ -874,7 +877,7 @@ impl CdclSolver {
             );
             return Candidate::Sat(model);
         }
-        match check_integer_governed(&cs, bb_budget, governor) {
+        match check_integer_governed(&cs, DEFAULT_BB_BUDGET, governor) {
             LiaResult::Sat(m) => {
                 debug_assert!(
                     cs.iter()
@@ -897,35 +900,44 @@ impl CdclSolver {
         }
     }
 
-    /// Runs the CDCL(T) search. `decision_budget` mirrors the legacy
-    /// DPLL's local node budget; `bb_budget` bounds each candidate's
-    /// branch-and-bound. The search state (but not the learned clauses,
-    /// activities, or tableau rows) is fully reset before returning, so
-    /// the solver stays reusable even after `Unknown`.
-    pub fn solve(
-        &mut self,
-        governor: &ResourceGovernor,
-        bb_budget: usize,
-        decision_budget: usize,
-    ) -> CdclOutcome {
+    /// Runs the CDCL(T) search under `governor`, giving up after
+    /// [`DECISION_BUDGET`] decisions; each candidate's branch-and-bound is
+    /// capped at [`DEFAULT_BB_BUDGET`] nodes. The search state (but not
+    /// the learned clauses, activities, or tableau rows) is fully reset
+    /// before returning, so the solver stays reusable even after
+    /// `Unknown`.
+    pub fn solve(&mut self, governor: &ResourceGovernor) -> CdclOutcome {
         let solve_mark = self.simplex.mark();
-        let out = self.solve_inner(governor, bb_budget, decision_budget);
+        let out = self.solve_inner(governor);
         self.reset_search(solve_mark);
         out
     }
 
-    fn solve_inner(
+    /// One probe of a warm battery: asserts each `(term, origin)` of
+    /// `assertions` in a pushed scope, solves under the pool's governor,
+    /// and pops. The scope-0 assertions, gate definitions, theory lemmas
+    /// and the simplex basis carry over to the next probe.
+    pub fn solve_scoped(
         &mut self,
-        governor: &ResourceGovernor,
-        bb_budget: usize,
-        mut decision_budget: usize,
+        pool: &TermPool,
+        assertions: impl IntoIterator<Item = (TermId, u32)>,
     ) -> CdclOutcome {
+        self.push_scope();
+        for (t, origin) in assertions {
+            self.add_assertion(pool, t, origin);
+        }
+        let out = self.solve(pool.governor());
+        self.pop_scope();
+        out
+    }
+
+    fn solve_inner(&mut self, governor: &ResourceGovernor) -> CdclOutcome {
         // Root charge: the legacy recursion charges its root node, so a
-        // zero decision budget must yield Unknown here too.
-        if decision_budget == 0 || governor.charge(Category::DpllDecisions).is_err() {
+        // tripped governor yields Unknown here too.
+        if governor.charge(Category::DpllDecisions).is_err() {
             return CdclOutcome::Unknown;
         }
-        decision_budget -= 1;
+        let mut decision_budget = DECISION_BUDGET - 1;
         self.recompute_active();
         if let Some((_, origins)) = self.empty_clauses.first() {
             let mut o = origins.clone();
@@ -1017,7 +1029,7 @@ impl CdclSolver {
                             let phase = self.phase[v as usize];
                             self.enqueue(Lit::new(v, phase), None);
                         }
-                        None => match self.candidate(governor, bb_budget) {
+                        None => match self.candidate(governor) {
                             Candidate::Sat(m) => return CdclOutcome::Sat(m),
                             Candidate::Unknown => return CdclOutcome::Unknown,
                             Candidate::Block(ci) => pending = Some(ci),
@@ -1163,28 +1175,25 @@ pub(crate) fn conjunctive_atoms(pool: &TermPool, f: TermId) -> Option<Vec<Linear
 pub(crate) fn solve_formula(
     pool: &TermPool,
     formula: TermId,
-    bb_budget: usize,
-    decision_budget: usize,
     governor: &ResourceGovernor,
 ) -> (Option<HashMap<VarId, i128>>, bool) {
-    if decision_budget == 0 || governor.charge(Category::DpllDecisions).is_err() {
+    if governor.charge(Category::DpllDecisions).is_err() {
         return (None, true);
     }
     if formula == TermPool::FALSE {
         return (None, false);
     }
     if let Some(cs) = conjunctive_atoms(pool, formula) {
-        return match check_integer_governed(&cs, bb_budget, governor) {
+        return match check_integer_governed(&cs, DEFAULT_BB_BUDGET, governor) {
             LiaResult::Sat(m) => (Some(m), false),
             LiaResult::Unsat => (None, false),
             LiaResult::Unknown => (None, true),
         };
     }
+    // The fresh solver charges its own root on top of the entry charge.
     let mut s = CdclSolver::new();
     s.add_assertion(pool, formula, 0);
-    // The fresh solver re-charges its own root; hand back the unit we
-    // already spent so budgets match the legacy per-query accounting.
-    match s.solve(governor, bb_budget, decision_budget) {
+    match s.solve(governor) {
         CdclOutcome::Sat(m) => (Some(m), false),
         CdclOutcome::Unsat { .. } => (None, false),
         CdclOutcome::Unknown => (None, true),
@@ -1194,34 +1203,23 @@ pub(crate) fn solve_formula(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lia::DEFAULT_BB_BUDGET;
-
-    const BUDGET: usize = 100_000;
 
     /// One fresh solve of the conjunction of `assertions`, assertion `i`
     /// tagged with origin `i`.
     fn check_with_core(
         pool: &TermPool,
         assertions: &[TermId],
-        bb_budget: usize,
-        decision_budget: usize,
         governor: &ResourceGovernor,
     ) -> CdclOutcome {
         let mut s = CdclSolver::new();
         for (i, &t) in assertions.iter().enumerate() {
             s.add_assertion(pool, t, i as u32);
         }
-        s.solve(governor, bb_budget, decision_budget)
+        s.solve(governor)
     }
 
     fn solve(pool: &TermPool, ts: &[TermId]) -> CdclOutcome {
-        check_with_core(
-            pool,
-            ts,
-            DEFAULT_BB_BUDGET,
-            BUDGET,
-            &ResourceGovernor::unlimited(),
-        )
+        check_with_core(pool, ts, &ResourceGovernor::unlimited())
     }
 
     #[test]
@@ -1292,21 +1290,12 @@ mod tests {
         let g = ResourceGovernor::unlimited();
         let mut s = CdclSolver::new();
         s.add_assertion(&p, a, 0);
-        assert!(matches!(
-            s.solve(&g, DEFAULT_BB_BUDGET, BUDGET),
-            CdclOutcome::Sat(_)
-        ));
+        assert!(matches!(s.solve(&g), CdclOutcome::Sat(_)));
         s.push_scope();
         s.add_assertion(&p, b, 1);
-        assert!(matches!(
-            s.solve(&g, DEFAULT_BB_BUDGET, BUDGET),
-            CdclOutcome::Unsat { .. }
-        ));
+        assert!(matches!(s.solve(&g), CdclOutcome::Unsat { .. }));
         s.pop_scope();
-        assert!(matches!(
-            s.solve(&g, DEFAULT_BB_BUDGET, BUDGET),
-            CdclOutcome::Sat(_)
-        ));
+        assert!(matches!(s.solve(&g), CdclOutcome::Sat(_)));
     }
 
     #[test]
@@ -1335,10 +1324,7 @@ mod tests {
         let g = ResourceGovernor::builder()
             .budget(Category::DpllDecisions, 0)
             .build();
-        assert_eq!(
-            check_with_core(&p, &[a], DEFAULT_BB_BUDGET, BUDGET, &g),
-            CdclOutcome::Unknown
-        );
+        assert_eq!(check_with_core(&p, &[a], &g), CdclOutcome::Unknown);
         assert_eq!(g.give_up().unwrap().category, Category::DpllDecisions);
     }
 
@@ -1355,13 +1341,10 @@ mod tests {
         let tripped = ResourceGovernor::builder()
             .budget(Category::DpllDecisions, 1)
             .build();
-        assert_eq!(
-            s.solve(&tripped, DEFAULT_BB_BUDGET, BUDGET),
-            CdclOutcome::Unknown
-        );
+        assert_eq!(s.solve(&tripped), CdclOutcome::Unknown);
         // …and the same solver instance still answers afterwards.
         assert!(matches!(
-            s.solve(&ResourceGovernor::unlimited(), DEFAULT_BB_BUDGET, BUDGET),
+            s.solve(&ResourceGovernor::unlimited()),
             CdclOutcome::Sat(_)
         ));
     }
@@ -1391,7 +1374,7 @@ mod tests {
         s.add_assertion(&p, d1, 0);
         s.add_assertion(&p, d2, 1);
         s.add_assertion(&p, sum, 2);
-        let out = s.solve(&ResourceGovernor::unlimited(), DEFAULT_BB_BUDGET, BUDGET);
+        let out = s.solve(&ResourceGovernor::unlimited());
         assert!(matches!(out, CdclOutcome::Sat(_)), "{out:?}");
         let a = s.audit_report().unwrap();
         assert_eq!(a.watch_violations, 0);

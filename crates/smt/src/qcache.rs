@@ -8,9 +8,8 @@
 //! `∧`/`∨` node are recursively sorted. Sorting is semantics-preserving
 //! (commutativity), and because the key no longer mentions pool-relative
 //! [`crate::TermId`]s, structurally equal queries from *different* pools
-//! share one cache line — which is what lets the parallel portfolio's
-//! workers and the restart supervisor's retry attempts reuse each other's
-//! verdicts.
+//! share one cache line — which is what lets the daemon's workers, each
+//! verifying on a pool of its own, reuse each other's verdicts.
 //!
 //! Soundness rules:
 //!
@@ -19,7 +18,7 @@
 //!   budget- or deadline-tripped governor cannot poison the cache;
 //! * `Sat` entries are re-validated on every hit by exact evaluation of
 //!   the queried formula under the imported model (see
-//!   [`crate::solver::check_with_config`]), so a hit can never claim more
+//!   [`crate::solver::check`]), so a hit can never claim more
 //!   than a fresh solve would;
 //! * sat/unsat of a canonical term is pool-independent, so cross-pool
 //!   sharing never changes a verdict, only who computes it first.
@@ -60,7 +59,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Number of independently locked shards. A power of two so the shard
-/// index is a cheap mask; 16 comfortably exceeds the portfolio width.
+/// index is a cheap mask; 16 comfortably exceeds the daemon's worker
+/// count, the only concurrent sharers of one cache.
 const NUM_SHARDS: usize = 16;
 
 /// Default total capacity (entries across all shards).

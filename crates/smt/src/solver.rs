@@ -8,8 +8,8 @@
 //! to `true` satisfies the whole formula. This makes the solver short and
 //! obviously sound.
 
-use crate::cdcl::{self, CdclOutcome, CdclSolver};
-use crate::lia::{check_integer_governed, LiaResult};
+use crate::cdcl::{self, CdclOutcome, CdclSolver, DECISION_BUDGET};
+use crate::lia::{check_integer_governed, LiaResult, DEFAULT_BB_BUDGET};
 use crate::linear::{LinearConstraint, VarId};
 use crate::qcache::{self, CachedVerdict, QueryCache};
 use crate::resource::{Category, ResourceGovernor};
@@ -104,29 +104,8 @@ impl fmt::Display for SolverKind {
     }
 }
 
-/// Tunable solver limits and counters.
-#[derive(Clone, Debug)]
-pub struct SolverConfig {
-    /// Branch-and-bound node budget per theory check.
-    pub bb_budget: usize,
-    /// Maximum boolean search steps (DPLL branch nodes / CDCL decisions)
-    /// before giving up.
-    pub dpll_budget: usize,
-    /// The boolean search engine.
-    pub solver: SolverKind,
-}
-
-impl Default for SolverConfig {
-    fn default() -> Self {
-        SolverConfig {
-            bb_budget: 2_000,
-            dpll_budget: 100_000,
-            solver: SolverKind::default(),
-        }
-    }
-}
-
-/// Checks satisfiability of the conjunction of `assertions`.
+/// Checks satisfiability of the conjunction of `assertions` with the
+/// pool's solver kind, governor and query cache.
 ///
 /// # Example
 ///
@@ -142,38 +121,18 @@ impl Default for SolverConfig {
 /// assert!(check(&mut pool, &[a, b]).is_unsat());
 /// ```
 pub fn check(pool: &mut TermPool, assertions: &[TermId]) -> SatResult {
-    let config = SolverConfig {
-        solver: pool.solver_kind(),
-        ..SolverConfig::default()
-    };
-    check_with_config(pool, assertions, &config)
-}
-
-/// As [`check`], with explicit limits.
-pub fn check_with_config(
-    pool: &mut TermPool,
-    assertions: &[TermId],
-    config: &SolverConfig,
-) -> SatResult {
     let formula = pool.and(assertions.iter().copied());
     cached_solve(pool, formula, |pool| {
         let governor = pool.governor().clone();
-        let (outcome, saw_unknown) = match config.solver {
+        let (outcome, saw_unknown) = match pool.solver_kind() {
             SolverKind::Cdcl => {
-                let (values, saw_unknown) = cdcl::solve_formula(
-                    pool,
-                    formula,
-                    config.bb_budget,
-                    config.dpll_budget,
-                    &governor,
-                );
+                let (values, saw_unknown) = cdcl::solve_formula(pool, formula, &governor);
                 (values.map(Model::from_values), saw_unknown)
             }
             SolverKind::Dpll => {
                 let mut search = Search {
                     pool: &mut *pool,
-                    config,
-                    budget: config.dpll_budget,
+                    budget: DECISION_BUDGET,
                     saw_unknown: false,
                     governor,
                 };
@@ -191,7 +150,7 @@ pub fn check_with_config(
 }
 
 /// The query-cache protocol around one solve of `formula`, shared by
-/// [`check_with_config`] and the warm scope engine. Trivially-constant
+/// [`check`] and the warm [`AssertionScope`] solver. Trivially-constant
 /// formulas skip the cache entirely (both lookup and insert) and flow
 /// through the unchanged search, so governor charge sequences for them
 /// stay bit-identical to a cache-free build. A hit answers after a
@@ -318,99 +277,47 @@ const SCOPE_MODEL_LIMIT: usize = 8;
 /// * satisfying models discovered along the way (bounded at
 ///   [`SCOPE_MODEL_LIMIT`]) are replayed by exact evaluation against each
 ///   new extra assertion — an evaluation, not a solve;
-/// * queries that fall through go to [`check`], whose conjunction
-///   flattens to exactly the same hash-consed formula a cold
-///   `check(&[prefix…, extra])` would build, so the query cache applies.
+/// * queries that fall through are solved with the pool's engine, under
+///   the query cache (when installed) keyed by exactly the hash-consed
+///   formula a cold `check(&[prefix…, extra])` would build.
 ///
-/// When the pool has no query cache (`--no-qcache`), the scope takes no
-/// shortcuts at all and every call is a plain [`check`] — bit-identical
-/// to the un-scoped baseline.
+/// Every shortcut answers what a cold [`check`] would, so the scope is
+/// the same with or without a query cache; only the memoization differs.
 #[derive(Debug)]
 pub struct AssertionScope {
     prefix: TermId,
-    /// Shortcuts enabled (mirrors the pool's cache presence at creation).
-    incremental: bool,
     /// The prefix alone is known unsatisfiable.
     prefix_unsat: bool,
     /// Recent models satisfying the prefix, newest last.
     models: Vec<Model>,
-    /// Persistent CDCL engine warm across the whole battery (only when
-    /// the pool's solver kind is [`SolverKind::Cdcl`] and shortcuts are
-    /// on): the prefix is asserted once, each extra rides in a pushed
-    /// scope, and theory lemmas plus the simplex basis carry over from
-    /// query to query.
-    engine: Option<ScopeEngine>,
-}
-
-/// The warm CDCL(T) battery behind an incremental [`AssertionScope`].
-#[derive(Debug, Default)]
-struct ScopeEngine {
-    solver: CdclSolver,
-    prefix_added: bool,
-}
-
-impl ScopeEngine {
-    /// Checks `prefix ∧ extra` on the persistent solver, through the same
-    /// query-cache protocol as a plain [`check`]. A constant formula goes
-    /// to [`check`] itself.
-    fn check(
-        &mut self,
-        pool: &mut TermPool,
-        prefix: TermId,
-        extra: TermId,
-        config: &SolverConfig,
-    ) -> SatResult {
-        let formula = pool.and([prefix, extra]);
-        if formula == TermPool::TRUE || formula == TermPool::FALSE {
-            return check(pool, &[formula]);
-        }
-        cached_solve(pool, formula, |pool| {
-            let governor = pool.governor().clone();
-            if !self.prefix_added {
-                self.solver.add_assertion(pool, prefix, 0);
-                self.prefix_added = true;
-            }
-            self.solver.push_scope();
-            self.solver.add_assertion(pool, extra, 1);
-            let out = self
-                .solver
-                .solve(&governor, config.bb_budget, config.dpll_budget);
-            self.solver.pop_scope();
-            match out {
-                CdclOutcome::Sat(values) => SatResult::Sat(Model::from_values(values)),
-                CdclOutcome::Unsat { .. } => SatResult::Unsat,
-                CdclOutcome::Unknown => SatResult::Unknown,
-            }
-        })
-    }
+    /// Persistent CDCL solver warm across the whole battery under
+    /// [`SolverKind::Cdcl`], made by the first query that solves: the
+    /// prefix is asserted once, each extra rides in a pushed scope
+    /// ([`CdclSolver::solve_scoped`]), and theory lemmas plus the simplex
+    /// basis carry over from query to query.
+    engine: Option<CdclSolver>,
 }
 
 impl AssertionScope {
-    /// Opens a scope over the conjunction of `prefix`. With shortcuts
-    /// enabled this performs one up-front satisfiability check of the
-    /// prefix; its verdict (and model, if any) is shared by every
-    /// subsequent [`AssertionScope::check`].
+    /// Opens a scope over the conjunction of `prefix`. This performs one
+    /// up-front satisfiability check of the prefix; its verdict (and
+    /// model, if any) is shared by every subsequent
+    /// [`AssertionScope::check`].
     pub fn new(pool: &mut TermPool, prefix: &[TermId]) -> AssertionScope {
         let prefix = pool.and(prefix.iter().copied());
-        let incremental = pool.query_cache().is_some();
-        let engine =
-            (incremental && pool.solver_kind() == SolverKind::Cdcl).then(ScopeEngine::default);
         let mut scope = AssertionScope {
             prefix,
-            incremental,
             prefix_unsat: false,
             models: Vec::new(),
-            engine,
+            engine: None,
         };
-        if scope.incremental {
-            if prefix == TermPool::FALSE {
-                scope.prefix_unsat = true;
-            } else {
-                match check(pool, &[prefix]) {
-                    SatResult::Unsat => scope.prefix_unsat = true,
-                    SatResult::Sat(m) => scope.models.push(m),
-                    SatResult::Unknown => {}
-                }
+        if prefix == TermPool::FALSE {
+            scope.prefix_unsat = true;
+        } else {
+            match check(pool, &[prefix]) {
+                SatResult::Unsat => scope.prefix_unsat = true,
+                SatResult::Sat(m) => scope.models.push(m),
+                SatResult::Unknown => {}
             }
         }
         scope
@@ -418,9 +325,6 @@ impl AssertionScope {
 
     /// Checks `prefix ∧ extra`.
     pub fn check(&mut self, pool: &mut TermPool, extra: TermId) -> SatResult {
-        if !self.incremental {
-            return check(pool, &[self.prefix, extra]);
-        }
         if self.prefix_unsat {
             return match pool.governor().poll() {
                 Ok(()) => SatResult::Unsat,
@@ -439,15 +343,9 @@ impl AssertionScope {
                 Err(_) => SatResult::Unknown,
             };
         }
-        let result = match &mut self.engine {
-            Some(engine) => {
-                let config = SolverConfig {
-                    solver: SolverKind::Cdcl,
-                    ..SolverConfig::default()
-                };
-                engine.check(pool, self.prefix, extra, &config)
-            }
-            None => check(pool, &[self.prefix, extra]),
+        let result = match pool.solver_kind() {
+            SolverKind::Cdcl => self.warm_check(pool, extra),
+            SolverKind::Dpll => check(pool, &[self.prefix, extra]),
         };
         if let SatResult::Sat(model) = &result {
             if self.models.len() == SCOPE_MODEL_LIMIT {
@@ -458,6 +356,30 @@ impl AssertionScope {
         result
     }
 
+    /// Checks `prefix ∧ extra` on the warm solver, through the same
+    /// query-cache protocol as a plain [`check`]. A constant formula goes
+    /// to [`check`] itself.
+    fn warm_check(&mut self, pool: &mut TermPool, extra: TermId) -> SatResult {
+        let formula = pool.and([self.prefix, extra]);
+        if formula == TermPool::TRUE || formula == TermPool::FALSE {
+            return check(pool, &[formula]);
+        }
+        let prefix = self.prefix;
+        let engine = &mut self.engine;
+        cached_solve(pool, formula, |pool| {
+            let solver = engine.get_or_insert_with(|| {
+                let mut solver = CdclSolver::default();
+                solver.add_assertion(pool, prefix, 0);
+                solver
+            });
+            match solver.solve_scoped(pool, [(extra, 1)]) {
+                CdclOutcome::Sat(values) => SatResult::Sat(Model::from_values(values)),
+                CdclOutcome::Unsat { .. } => SatResult::Unsat,
+                CdclOutcome::Unknown => SatResult::Unknown,
+            }
+        })
+    }
+
     /// `true` when the prefix alone was proven unsatisfiable.
     pub fn prefix_unsat(&self) -> bool {
         self.prefix_unsat
@@ -466,7 +388,6 @@ impl AssertionScope {
 
 struct Search<'a> {
     pool: &'a mut TermPool,
-    config: &'a SolverConfig,
     budget: usize,
     saw_unknown: bool,
     /// Cloned from the pool once per query; charged per DPLL decision and
@@ -484,16 +405,14 @@ impl Search<'_> {
         self.budget -= 1;
         match self.pool.term(formula) {
             Term::False => None,
-            Term::True => {
-                match check_integer_governed(fixed, self.config.bb_budget, &self.governor) {
-                    LiaResult::Sat(values) => Some(Model::from_values(values)),
-                    LiaResult::Unsat => None,
-                    LiaResult::Unknown => {
-                        self.saw_unknown = true;
-                        None
-                    }
+            Term::True => match check_integer_governed(fixed, DEFAULT_BB_BUDGET, &self.governor) {
+                LiaResult::Sat(values) => Some(Model::from_values(values)),
+                LiaResult::Unsat => None,
+                LiaResult::Unknown => {
+                    self.saw_unknown = true;
+                    None
                 }
-            }
+            },
             _ => {
                 // Unit propagation: conjuncts that are atoms must hold.
                 if let Term::And(children) = self.pool.term(formula) {
@@ -762,20 +681,18 @@ mod tests {
     #[test]
     fn tiny_budget_reports_unknown() {
         let mut p = TermPool::new();
+        p.take_query_cache();
         let x = p.var("x");
         let a = p.ge_const(x, 0);
         let b = p.le_const(x, 10);
         for solver in [SolverKind::Dpll, SolverKind::Cdcl] {
-            let cfg = SolverConfig {
-                bb_budget: 2000,
-                dpll_budget: 0,
-                solver,
-            };
-            assert_eq!(
-                check_with_config(&mut p, &[a, b], &cfg),
-                SatResult::Unknown,
-                "{solver}"
+            p.set_solver_kind(solver);
+            p.set_governor(
+                ResourceGovernor::builder()
+                    .budget(Category::DpllDecisions, 0)
+                    .build(),
             );
+            assert_eq!(check(&mut p, &[a, b]), SatResult::Unknown, "{solver}");
         }
     }
 
@@ -797,11 +714,8 @@ mod tests {
         for battery in [vec![disj], vec![disj, link], vec![disj, link, cap]] {
             let mut results = Vec::new();
             for solver in [SolverKind::Dpll, SolverKind::Cdcl] {
-                let cfg = SolverConfig {
-                    solver,
-                    ..SolverConfig::default()
-                };
-                results.push(check_with_config(&mut p, &battery, &cfg));
+                p.set_solver_kind(solver);
+                results.push(check(&mut p, &battery));
             }
             assert_eq!(results[0].is_sat(), results[1].is_sat(), "{battery:?}");
             assert_eq!(results[0].is_unsat(), results[1].is_unsat(), "{battery:?}");

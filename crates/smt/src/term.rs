@@ -74,9 +74,9 @@ pub struct TermPool {
     /// this pool (defaults to [`ResourceGovernor::unlimited`]).
     governor: ResourceGovernor,
     /// Optional query-result memoization consulted by the solver. Cloning
-    /// the pool shares the cache (it is `Arc`-backed), which is how the
-    /// parallel portfolio's workers and the supervisor's retry attempts
-    /// reuse each other's verdicts.
+    /// the pool shares the cache (it is `Arc`-backed); the daemon installs
+    /// one cache on every worker's pool so requests reuse each other's
+    /// verdicts.
     qcache: Option<QueryCache>,
     /// Which boolean search engine answers queries routed through this
     /// pool (defaults to [`SolverKind::Cdcl`]; `--solver=dpll` selects

@@ -1,16 +1,17 @@
 //! Cross-pool term translation.
 //!
 //! [`TermId`]s are indices into one [`TermPool`]'s hash-cons table, so they
-//! are meaningless in any other pool. To ship assertions between engines that
-//! run on separate threads — each with its own pool — a term is *exported*
-//! into the pool-independent [`ExportedTerm`] representation (variables are
+//! are meaningless in any other pool. To carry a term from one pool to
+//! another — a recycled proof assertion into a retry attempt, a
+//! certificate's assertions into the checker — a term is *exported* into
+//! the pool-independent [`ExportedTerm`] representation (variables are
 //! identified by name, constraints by their coefficient lists) and
 //! *imported* on the receiving side, re-interning variables and re-running
 //! the pool's normalizing constructors.
 //!
 //! The representation is plain data (`String`/`i128`/`Vec`), hence `Send`,
-//! which is what lets assertion chains cross an `mpsc` channel in the
-//! parallel portfolio.
+//! which is what lets canonical query-cache keys be shared by the daemon's
+//! worker threads.
 //!
 //! Beyond crossing threads, an [`ExportedTerm`] also crosses *processes*:
 //! [`ExportedTerm::to_text`] renders a stable, versionless s-expression

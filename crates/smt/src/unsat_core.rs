@@ -30,7 +30,7 @@
 //! refuters — trace slicing does not depend on the engine.
 
 use crate::cdcl::{CdclOutcome, CdclSolver};
-use crate::solver::{check, SatResult, SolverConfig, SolverKind};
+use crate::solver::{check, SatResult, SolverKind};
 use crate::term::{TermId, TermPool};
 
 /// Outcome of [`check_core`].
@@ -135,15 +135,8 @@ impl Refuter {
     fn refute(&mut self, pool: &mut TermPool, assertions: &[TermId], kept: &[usize]) -> CoreResult {
         match self {
             Refuter::Cdcl(solver) => {
-                let config = SolverConfig::default();
-                let governor = pool.governor().clone();
-                solver.push_scope();
-                for &k in kept {
-                    solver.add_assertion(pool, assertions[k], k as u32);
-                }
-                let outcome = solver.solve(&governor, config.bb_budget, config.dpll_budget);
-                solver.pop_scope();
-                match outcome {
+                let probe = kept.iter().map(|&k| (assertions[k], k as u32));
+                match solver.solve_scoped(pool, probe) {
                     CdclOutcome::Sat(_) => CoreResult::Sat,
                     CdclOutcome::Unknown => CoreResult::Unknown,
                     CdclOutcome::Unsat { origins } => {

@@ -12,7 +12,7 @@
 use smt::cdcl::{CdclOutcome, CdclSolver, Lit};
 use smt::linear::{LinExpr, VarId};
 use smt::resource::{Category, FaultKind, FaultPlan, ResourceGovernor};
-use smt::solver::{check_with_config, SatResult, SolverConfig, SolverKind};
+use smt::solver::{check, SatResult, SolverKind};
 use smt::term::{TermId, TermPool};
 
 const NUM_VARS: usize = 3;
@@ -79,12 +79,7 @@ fn solve_audited(seed: u64) -> (CdclSolver, CdclOutcome) {
     let mut s = CdclSolver::new();
     s.enable_audit();
     s.add_assertion(&pool, q, 0);
-    let config = SolverConfig::default();
-    let out = s.solve(
-        &ResourceGovernor::unlimited(),
-        config.bb_budget,
-        config.dpll_budget,
-    );
+    let out = s.solve(&ResourceGovernor::unlimited());
     (s, out)
 }
 
@@ -236,17 +231,14 @@ fn governor_cancellation_mid_search_leaves_pool_reusable() {
     let mut pool = TermPool::new();
     pool.take_query_cache();
     let q = boxed_query(&mut pool, seed);
-    let config = SolverConfig {
-        solver: SolverKind::Cdcl,
-        ..SolverConfig::default()
-    };
+    pool.set_solver_kind(SolverKind::Cdcl);
 
     // Cancellation at the second conflict.
     let budgeted = ResourceGovernor::builder()
         .budget(Category::CdclConflicts, 1)
         .build();
     pool.set_governor(budgeted.clone());
-    let out = check_with_config(&mut pool, &[q], &config);
+    let out = check(&mut pool, &[q]);
     assert!(
         matches!(out, SatResult::Unknown),
         "budgeted run must stay conservative, got {out:?}"
@@ -257,19 +249,13 @@ fn governor_cancellation_mid_search_leaves_pool_reusable() {
     // Same pool, fresh governor: the verdict must be definitive and
     // agree with the legacy engine on an untouched pool.
     pool.set_governor(ResourceGovernor::unlimited());
-    let retried = check_with_config(&mut pool, &[q], &config);
+    let retried = check(&mut pool, &[q]);
 
     let mut fresh = TermPool::new();
     fresh.take_query_cache();
     let q2 = boxed_query(&mut fresh, seed);
-    let legacy = check_with_config(
-        &mut fresh,
-        &[q2],
-        &SolverConfig {
-            solver: SolverKind::Dpll,
-            ..SolverConfig::default()
-        },
-    );
+    fresh.set_solver_kind(SolverKind::Dpll);
+    let legacy = check(&mut fresh, &[q2]);
     match (&retried, &legacy) {
         (SatResult::Sat(_), SatResult::Sat(_)) | (SatResult::Unsat, SatResult::Unsat) => {}
         other => panic!("retry after cancellation diverged: {other:?}"),
@@ -285,22 +271,19 @@ fn injected_fault_mid_conflict_analysis_is_conservative() {
     let mut pool = TermPool::new();
     pool.take_query_cache();
     let q = boxed_query(&mut pool, seed);
-    let config = SolverConfig {
-        solver: SolverKind::Cdcl,
-        ..SolverConfig::default()
-    };
+    pool.set_solver_kind(SolverKind::Cdcl);
 
     let plan = FaultPlan::new().with(Category::CdclConflicts, 2, FaultKind::Unknown);
     let faulty = ResourceGovernor::builder().fault_plan(plan).build();
     pool.set_governor(faulty);
-    let out = check_with_config(&mut pool, &[q], &config);
+    let out = check(&mut pool, &[q]);
     assert!(
         matches!(out, SatResult::Unknown),
         "fault injection must stay conservative, got {out:?}"
     );
 
     pool.set_governor(ResourceGovernor::unlimited());
-    let retried = check_with_config(&mut pool, &[q], &config);
+    let retried = check(&mut pool, &[q]);
     assert!(
         !matches!(retried, SatResult::Unknown),
         "pool must recover a definitive verdict after the injected fault"

@@ -247,38 +247,74 @@ fn lower_atoms(pool: &mut TermPool, rng: &mut Rng, n: usize) -> Vec<TermId> {
 
 /// `AssertionScope` batteries (the warm CDCL scope engine used by the
 /// Hoare-check loop) agree with one-shot legacy checks on every extra.
+/// The scope takes the same shortcuts with or without a query cache, so
+/// both rows run: the cache changes only what is memoized.
 #[test]
 fn scope_battery_matches_oneshot_legacy() {
-    for seed in 0..300u64 {
-        let mut rng = Rng(seed ^ 0xba77e);
-        // CDCL pool with the query cache left on: that is what arms the
-        // incremental scope engine.
-        let mut pool = TermPool::new();
-        pool.set_solver_kind(SolverKind::Cdcl);
-        let n_prefix = 1 + rng.below(3) as usize;
-        let prefix = lower_atoms(&mut pool, &mut rng, n_prefix);
-        let extras = lower_atoms(&mut pool, &mut rng, 4);
-        let mut scope = AssertionScope::new(&mut pool, &prefix);
-
-        // Legacy pool, memoization off, same term stream.
-        let mut legacy = TermPool::new();
-        legacy.take_query_cache();
-        legacy.set_solver_kind(SolverKind::Dpll);
-        let mut lrng = Rng(seed ^ 0xba77e);
-        let ln_prefix = 1 + lrng.below(3) as usize;
-        let lprefix = lower_atoms(&mut legacy, &mut lrng, ln_prefix);
-        let lextras = lower_atoms(&mut legacy, &mut lrng, 4);
-
-        for (i, (&e, &le)) in extras.iter().zip(lextras.iter()).enumerate() {
-            let warm = scope.check(&mut pool, e);
-            let mut batch: Vec<TermId> = lprefix.clone();
-            batch.push(le);
-            let oneshot = check(&mut legacy, &batch);
-            match (&warm, &oneshot) {
-                (SatResult::Sat(_), SatResult::Sat(_)) | (SatResult::Unsat, SatResult::Unsat) => {}
-                (SatResult::Unknown, _) | (_, SatResult::Unknown) => {}
-                other => panic!("seed {seed} extra {i}: scope vs one-shot diverged: {other:?}"),
-            }
+    for cached in [true, false] {
+        for seed in 0..300u64 {
+            scope_battery_row(seed, cached);
         }
+    }
+}
+
+fn scope_battery_row(seed: u64, cached: bool) {
+    let mut rng = Rng(seed ^ 0xba77e);
+    let mut pool = TermPool::new();
+    if !cached {
+        pool.take_query_cache();
+    }
+    pool.set_solver_kind(SolverKind::Cdcl);
+    let n_prefix = 1 + rng.below(3) as usize;
+    let prefix = lower_atoms(&mut pool, &mut rng, n_prefix);
+    let extras = lower_atoms(&mut pool, &mut rng, 4);
+    let mut scope = AssertionScope::new(&mut pool, &prefix);
+
+    // Legacy pool, memoization off, same term stream.
+    let mut legacy = TermPool::new();
+    legacy.take_query_cache();
+    legacy.set_solver_kind(SolverKind::Dpll);
+    let mut lrng = Rng(seed ^ 0xba77e);
+    let ln_prefix = 1 + lrng.below(3) as usize;
+    let lprefix = lower_atoms(&mut legacy, &mut lrng, ln_prefix);
+    let lextras = lower_atoms(&mut legacy, &mut lrng, 4);
+
+    for (i, (&e, &le)) in extras.iter().zip(lextras.iter()).enumerate() {
+        let warm = scope.check(&mut pool, e);
+        let mut batch: Vec<TermId> = lprefix.clone();
+        batch.push(le);
+        let oneshot = check(&mut legacy, &batch);
+        match (&warm, &oneshot) {
+            (SatResult::Sat(_), SatResult::Sat(_)) | (SatResult::Unsat, SatResult::Unsat) => {}
+            (SatResult::Unknown, _) | (_, SatResult::Unknown) => {}
+            other => panic!(
+                "seed {seed} cached {cached} extra {i}: scope vs one-shot diverged: {other:?}"
+            ),
+        }
+    }
+}
+
+/// The scope's shortcuts do not depend on the query cache: on a pool whose
+/// cache was taken, an unsatisfiable prefix is found by the up-front
+/// check, and every scoped query answers `Unsat` from it.
+#[test]
+fn cacheless_scope_detects_an_unsat_prefix() {
+    for kind in [SolverKind::Cdcl, SolverKind::Dpll] {
+        let mut pool = TermPool::new();
+        pool.take_query_cache();
+        pool.set_solver_kind(kind);
+        let x = pool.var("x");
+        let y = pool.var("y");
+        // x + y ≥ 3 ∧ x ≤ 1 ∧ y ≤ 1: unsatisfiable, but only by arithmetic.
+        let sum = pool.ge(
+            &LinExpr::var(x).add(&LinExpr::var(y)),
+            &LinExpr::constant(3),
+        );
+        let x_le = pool.le_const(x, 1);
+        let y_le = pool.le_const(y, 1);
+        let mut scope = AssertionScope::new(&mut pool, &[sum, x_le, y_le]);
+        assert!(scope.prefix_unsat(), "{kind}: prefix not found unsat");
+        let extra = pool.ge_const(x, 0);
+        assert_eq!(scope.check(&mut pool, extra), SatResult::Unsat, "{kind}");
     }
 }

@@ -5,9 +5,22 @@
 //!                          [--no-proof-sensitivity] [--no-qcache] [--solver dpll|cdcl]
 //!                          [--max-rounds N] [--portfolio]
 //!                          [--timeout DUR] [--steps CAT=N] [--faults SPEC]
+//!                          [--retries N] [--escalate Fx]
+//!                          [--checkpoint PATH] [--resume PATH]
+//!                          [--certify off|structural|sample|full]
 //! seqver info   <file.cpl>
 //! seqver reduce <file.cpl> [--order ...] [--dot]
+//! seqver serve  [--addr HOST:PORT] [--store PATH] [--max-inflight N]
+//!               [--queue-depth N] [--request-timeout DUR] [--io-timeout DUR]
+//!               [--idle-timeout DUR] [--retries N] [--journal-max-ratio F]
+//!               [--crash-at SITE:N]
+//!               [--certify off|structural|sample|full] [--cert-fault SITE:KIND:N]
+//! seqver submit <file.cpl>... --addr HOST:PORT [--timeout DUR] [--steps CAT=N]
+//!               [--retries N] [--faults SPEC] [--retry-busy N]
+//!               [--require-durable] [--stats] [--shutdown]
 //! ```
+//!
+//! `seqver help` prints every flag's meaning.
 
 use seqver::automata::dot::to_dot;
 use seqver::cpl;
@@ -113,6 +126,8 @@ serve flags:
   --io-timeout DUR mid-frame stall timeout (slow-loris defense) and socket
                    write timeout (default 2s)
   --idle-timeout DUR  idle connection close (default 30s)
+  --retries N      escalation-ladder retries per request (default 0); a
+                   request's own --retries may lower it, never raise it
   --journal-max-ratio F  compact once the journal outgrows F x the
                    snapshot size (default 4; 0 compacts after every batch)
   --crash-at SITE:N  test aid: abort() at the N-th arrival of a named

@@ -22,7 +22,7 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use seqver::smt::linear::{LinExpr, VarId};
-use seqver::smt::solver::{check_with_config, SatResult, SolverConfig, SolverKind};
+use seqver::smt::solver::{check, SatResult, SolverKind};
 use seqver::smt::term::{TermId, TermPool};
 use seqver::smt::unsat_core::unsat_core;
 use seqver::smt::Rel;
@@ -85,11 +85,10 @@ fn lower(pool: &mut TermPool, vars: &[VarId], f: &F) -> TermId {
     }
 }
 
-fn config(kind: SolverKind) -> SolverConfig {
-    SolverConfig {
-        solver: kind,
-        ..SolverConfig::default()
-    }
+/// Checks `assertions` with the engine `kind`.
+fn check_with(pool: &mut TermPool, assertions: &[TermId], kind: SolverKind) -> SatResult {
+    pool.set_solver_kind(kind);
+    check(pool, assertions)
 }
 
 /// Runs one generated formula through both engines and checks the
@@ -109,8 +108,8 @@ fn check_one(f: &F) {
     }
     let conj = pool.and(assertions.clone());
 
-    let dpll = check_with_config(&mut pool, &assertions, &config(SolverKind::Dpll));
-    let cdcl = check_with_config(&mut pool, &assertions, &config(SolverKind::Cdcl));
+    let dpll = check_with(&mut pool, &assertions, SolverKind::Dpll);
+    let cdcl = check_with(&mut pool, &assertions, SolverKind::Cdcl);
 
     match (&dpll, &cdcl) {
         (SatResult::Sat(md), SatResult::Sat(mc)) => {
@@ -138,7 +137,7 @@ fn check_one(f: &F) {
             let core_terms: Vec<TermId> = core.iter().map(|&i| assertions[i]).collect();
             assert!(
                 matches!(
-                    check_with_config(&mut pool, &core_terms, &config(SolverKind::Dpll)),
+                    check_with(&mut pool, &core_terms, SolverKind::Dpll),
                     SatResult::Unsat
                 ),
                 "cdcl core {core:?} not unsat under legacy dpll on {f:?}"
