@@ -16,8 +16,9 @@
 //! * the reduction's structural coverage is replayed from the certificate
 //!   alone and re-checked as a language inclusion via `crates/automata`;
 //! * every Hoare obligation is re-discharged with the legacy DPLL solver
-//!   (`--solver=dpll`), the query cache disabled, so a CDCL or cache bug
-//!   cannot confirm its own output;
+//!   (`--solver=dpll`) with query memoization off (neither the pool memo
+//!   nor a shared cache is read or filled), so a CDCL or cache bug cannot
+//!   confirm its own output;
 //! * bug traces are replayed concretely through `program::interp`,
 //!   branching over escalating havoc domains, with an SSA feasibility
 //!   check as the fallback for witnesses outside the concrete domains.
@@ -598,11 +599,12 @@ impl fmt::Display for CertifyReport {
 
 /// Re-validates `cert` against a freshly compiled `program` in `pool`.
 ///
-/// The pool is temporarily switched to the DPLL solver with the query
-/// cache removed and an unlimited governor, so every re-discharged
-/// obligation is answered by a code path independent of the CDCL engine
-/// and of any cached result; the previous solver, cache, and governor are
-/// restored before returning. The check runs to completion — callers on
+/// The pool is temporarily switched to the DPLL solver with memoization
+/// off (neither the pool memo nor a shared cache is read or filled) and
+/// an unlimited governor, so every re-discharged obligation is answered
+/// by a code path independent of the CDCL engine and of any verdict the
+/// engine computed; the previous solver, memoization switch and governor
+/// are restored before returning. The check runs to completion — callers on
 /// latency-sensitive paths should use [`CertifyMode::Sample`] or
 /// [`CertifyMode::Structural`].
 pub fn check_certificate(
@@ -615,9 +617,10 @@ pub fn check_certificate(
         return CertifyReport::pass(0, 0);
     }
     let saved_kind = pool.solver_kind();
-    let saved_cache = pool.take_query_cache();
+    let saved_memoize = pool.query_cache().is_some();
     let saved_governor = pool.governor().clone();
     pool.set_solver_kind(SolverKind::Dpll);
+    pool.set_memoization(false);
     // The sample tier runs under a small deterministic step budget: a
     // governor trip mid-obligation means the spot-check ran out of
     // latency budget, not that the certificate is wrong, and the caller
@@ -635,9 +638,7 @@ pub fn check_certificate(
     let report = check_inner(pool, program, cert, mode);
     pool.set_solver_kind(saved_kind);
     pool.set_governor(saved_governor);
-    if let Some(cache) = saved_cache {
-        pool.set_query_cache(cache);
-    }
+    pool.set_memoization(saved_memoize);
     report
 }
 

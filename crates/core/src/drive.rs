@@ -12,7 +12,7 @@
 //!   With one member this is the plain refinement loop of
 //!   [`crate::verify::verify`].
 //! * **Per attempt.** Each member gets a governor built from its `govern`
-//!   limits, its solver kind and its query-cache setting, installed on the
+//!   limits, its solver kind and its memoization switch, installed on the
 //!   pool before each of its rounds (the caller's settings are restored at
 //!   the end).
 //! * **Per round** (`Seat::step`): honour the member's `max_rounds`,
@@ -29,11 +29,12 @@
 //! phase folds every member's record, plus one record carrying the shared
 //! proof's `hoare_checks` (read before the proving round's certificate
 //! resumption extends δ) and size, through [`RunStats::merge`].
-//! Query-cache counters follow one rule: the delta of the run's cache
-//! between the start and the end of [`drive`] — engine set-up, rounds and
-//! certificate recording included, across attempts — or zero when no
-//! member uses the cache. The delta is exact when nothing else uses the
-//! cache concurrently.
+//! Query-cache counters follow one rule: the delta of the pool memo's
+//! counters ([`smt::QueryMemo`]) between the start and the end of
+//! [`drive`] — engine set-up, rounds and certificate recording included,
+//! across attempts — or zero when no member memoizes. The memo is owned
+//! by the pool, so the delta is exact; a shared cross-pool cache keeps
+//! its own counters.
 //!
 //! **Soundness of recycling.** Seeds are only ever *candidate* assertions:
 //! the proof automaton re-validates every transition with a Hoare query and
@@ -51,7 +52,7 @@ use crate::verify::{specs_of, Outcome, RunStats, Verdict, VerifierConfig};
 use program::concurrent::{LetterId, Program, Spec};
 use smt::term::{TermId, TermPool};
 use smt::transfer::ExportedTerm;
-use smt::{QueryCache, SolverKind};
+use smt::{QueryMemo, SolverKind};
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -287,11 +288,7 @@ pub fn drive(pool: &mut TermPool, program: &Program, run: &Run) -> Driven {
     }
     let specs = specs_of(program);
     let saved = Installed::take(pool);
-    let cache = saved.cache.clone();
-    let cache_before = cache
-        .as_ref()
-        .filter(|_| run.members.iter().any(|m| m.use_qcache))
-        .map(QueryCache::stats);
+    let memo_before = pool.query_cache().map(QueryMemo::stats);
     let last_attempt = run.retry.max_retries.max(lad.attempt);
 
     let verdict = loop {
@@ -307,7 +304,7 @@ pub fn drive(pool: &mut TermPool, program: &Program, run: &Run) -> Driven {
             let Some(&spec) = specs.get(lad.specs_done) else {
                 break End::Proven;
             };
-            match lad.take_turns(pool, program, spec, &members, cache.as_ref()) {
+            match lad.take_turns(pool, program, spec, &members, saved.memoize) {
                 End::Proven => {
                     lad.specs_done += 1;
                     lad.recycled.clear();
@@ -355,8 +352,8 @@ pub fn drive(pool: &mut TermPool, program: &Program, run: &Run) -> Driven {
         }
     };
     saved.restore(pool);
-    if let (Some(cache), Some(before)) = (&cache, cache_before) {
-        let delta = cache.stats().since(&before);
+    if let (Some(memo), Some(before)) = (pool.query_cache(), memo_before) {
+        let delta = memo.stats().since(&before);
         lad.stats.qcache_hits = delta.hits;
         lad.stats.qcache_misses = delta.misses;
     }
@@ -369,7 +366,7 @@ pub fn drive(pool: &mut TermPool, program: &Program, run: &Run) -> Driven {
 struct Installed {
     governor: ResourceGovernor,
     solver: SolverKind,
-    cache: Option<QueryCache>,
+    memoize: bool,
 }
 
 impl Installed {
@@ -377,19 +374,14 @@ impl Installed {
         Installed {
             governor: pool.governor().clone(),
             solver: pool.solver_kind(),
-            cache: pool.query_cache().cloned(),
+            memoize: pool.query_cache().is_some(),
         }
     }
 
     fn restore(self, pool: &mut TermPool) {
         pool.set_governor(self.governor);
         pool.set_solver_kind(self.solver);
-        match self.cache {
-            Some(cache) => pool.set_query_cache(cache),
-            None => {
-                pool.take_query_cache();
-            }
-        }
+        pool.set_memoization(self.memoize);
     }
 }
 
@@ -406,19 +398,14 @@ impl Member {
         Member { config, governor }
     }
 
-    /// Installs this member's governor, solver kind and query-cache
-    /// setting on `pool`; `cache` is the run's cache. A member with the
-    /// cache disabled memoizes nothing; other holders of the shared cache
-    /// are unaffected.
-    fn install(&self, pool: &mut TermPool, cache: Option<&QueryCache>) {
+    /// Installs this member's governor, solver kind and memoization
+    /// switch on `pool`; `memoize` is whether the run's pool memoizes at
+    /// all. A member with `use_qcache` off memoizes nothing, and keeps
+    /// the memo's entries for the members that do.
+    fn install(&self, pool: &mut TermPool, memoize: bool) {
         pool.set_governor(self.governor.clone());
         pool.set_solver_kind(self.config.solver);
-        match cache.filter(|_| self.config.use_qcache) {
-            Some(cache) => pool.set_query_cache(cache.clone()),
-            None => {
-                pool.take_query_cache();
-            }
-        }
+        pool.set_memoization(memoize && self.config.use_qcache);
     }
 }
 
@@ -596,7 +583,7 @@ impl Ladder {
         program: &Program,
         spec: Spec,
         members: &[Member],
-        cache: Option<&QueryCache>,
+        memoize: bool,
     ) -> End {
         let mut proof = ProofAutomaton::new();
         for t in &self.recycled.list {
@@ -617,7 +604,7 @@ impl Ladder {
                 self.write_checkpoint(pool, Some(&proof), spec_rounds(&seats));
                 break (End::Interrupted, None);
             }
-            members[i].install(pool, cache);
+            members[i].install(pool, memoize);
             match seats[i].step(pool, program, spec, &members[i].config, &mut proof) {
                 RoundOutcome::Refined => {
                     self.write_checkpoint(pool, Some(&proof), spec_rounds(&seats));

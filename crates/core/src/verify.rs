@@ -88,15 +88,16 @@ pub struct VerifierConfig {
     /// Resource governance: deadline, run-wide step budgets and fault
     /// injection. Unlimited by default.
     pub govern: GovernorConfig,
-    /// Solver-level query memoization ([`smt::qcache`]). When disabled,
-    /// the pool's cache is removed for the duration of the run: nothing is
-    /// memoized, and every query runs as it would have on a miss — the
-    /// measurement baseline.
+    /// Solver-level query memoization ([`smt::qcache`]): the pool memo,
+    /// and a shared cross-pool cache where the caller installed one (the
+    /// daemon). When disabled, memoization is switched off on the pool for
+    /// the duration of the run: neither tier is read or filled, and every
+    /// query runs as it would have on a miss — the measurement baseline.
     pub use_qcache: bool,
     /// Which boolean search engine answers SMT queries
     /// ([`SolverKind::Cdcl`] by default; [`SolverKind::Dpll`] is the
     /// legacy ablation baseline). Installed on the pool for the
-    /// duration of the run, like the governor and the query cache.
+    /// duration of the run, like the governor and the memoization switch.
     pub solver: SolverKind,
     /// Emit a checkable [`Certificate`] with every conclusive verdict:
     /// every check round records its reduction, and a proving round then
@@ -262,11 +263,12 @@ pub struct RunStats {
     pub time: Duration,
     /// Interpolation statistics.
     pub interpolation: InterpolationStats,
-    /// Solver queries answered from the query cache during this run: the
-    /// cache's delta over the whole run (see [`mod@crate::drive`]), zero when
-    /// no engine used the cache.
+    /// Solver queries answered from the pool memo during this run: the
+    /// memo's delta over the whole run (see [`mod@crate::drive`]), zero
+    /// when no engine memoized.
     pub qcache_hits: u64,
-    /// Solver queries that fell through to a real solve (same rule).
+    /// Solver queries the pool memo missed (same rule); a shared cache,
+    /// where one is installed, may still answer them.
     pub qcache_misses: u64,
     /// Proven results whose certificate was dropped because the recording
     /// resumption tripped its state budget or the resource governor.
@@ -328,8 +330,8 @@ impl RunStats {
         }
     }
 
-    /// Query-cache hit rate of this run (0 when the cache was off or
-    /// never consulted).
+    /// Pool-memo hit rate of this run (0 when memoization was off or the
+    /// memo was never consulted).
     pub fn qcache_hit_rate(&self) -> f64 {
         let total = self.qcache_hits + self.qcache_misses;
         if total == 0 {
@@ -371,7 +373,7 @@ pub fn specs_of(program: &Program) -> Vec<Spec> {
 /// Programs with asserts are analyzed once per asserting thread
 /// (footnote 4 of the paper); programs without asserts are verified
 /// against their pre/postcondition pair. The configuration's governor,
-/// solver kind and query-cache setting are installed on `pool` for the
+/// solver kind and memoization switch are installed on `pool` for the
 /// run and restored afterwards; panics are contained and reported as
 /// [`Verdict::GaveUp`] with [`Category::InjectedFault`].
 pub fn verify(pool: &mut TermPool, program: &Program, config: &VerifierConfig) -> Outcome {

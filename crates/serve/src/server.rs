@@ -26,8 +26,8 @@
 //!   fingerprint matches directly, seeds near-duplicates' assertions, and
 //!   pre-warms the shared query cache from persisted entries).
 //! * **Request-level fault isolation** — every request runs under
-//!   `catch_unwind` with a *fresh* `TermPool` (sharing only the panic-safe
-//!   query cache), inside [`gemcutter::drive`]'s escalation ladder and
+//!   `catch_unwind` with a *fresh* `TermPool` (its own query memo, plus
+//!   the panic-safe query cache shared by all workers), inside [`gemcutter::drive`]'s escalation ladder and
 //!   a per-request governor deadline capped by the server's
 //!   `request_timeout`. A panicking request returns a structured error,
 //!   the poisoned worker thread is quarantined (it exits, discarding all
@@ -542,10 +542,11 @@ fn handle_verify(shared: &Shared, job: &Job) -> Response {
     }
 
     // Fresh pool per request: panic quarantine is trivial (drop it), and
-    // pools cannot grow without bound across a daemon's lifetime. The
-    // shared query cache is the only cross-request solver state.
+    // pools and their memos cannot grow without bound across a daemon's
+    // lifetime. The shared query cache is the only cross-request solver
+    // state; it sees only the lookups the pool's memo missed.
     let mut pool = TermPool::new();
-    pool.set_query_cache(shared.cache.clone());
+    pool.set_shared_cache(shared.cache.clone());
     let program = match cpl::compile(&job.source, &mut pool) {
         Ok(program) => program,
         Err(e) => {

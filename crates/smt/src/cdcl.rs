@@ -1171,26 +1171,28 @@ pub(crate) fn conjunctive_atoms(pool: &TermPool, f: TermId) -> Option<Vec<Linear
 /// `(model, saw_unknown)` contract as the legacy `Search::dpll` driver:
 /// `(Some(model), _)` is Sat, `(None, false)` Unsat, `(None, true)`
 /// Unknown. Pure conjunctions bypass the clause engine and go straight
-/// to branch-and-bound.
+/// to branch-and-bound. Either way the root costs one
+/// [`Category::DpllDecisions`] unit, as the legacy recursion's root does:
+/// the bypass charges it here, the clause engine in its own root charge.
 pub(crate) fn solve_formula(
     pool: &TermPool,
     formula: TermId,
     governor: &ResourceGovernor,
 ) -> (Option<HashMap<VarId, i128>>, bool) {
-    if governor.charge(Category::DpllDecisions).is_err() {
-        return (None, true);
-    }
     if formula == TermPool::FALSE {
-        return (None, false);
+        let tripped = governor.charge(Category::DpllDecisions).is_err();
+        return (None, tripped);
     }
     if let Some(cs) = conjunctive_atoms(pool, formula) {
+        if governor.charge(Category::DpllDecisions).is_err() {
+            return (None, true);
+        }
         return match check_integer_governed(&cs, DEFAULT_BB_BUDGET, governor) {
             LiaResult::Sat(m) => (Some(m), false),
             LiaResult::Unsat => (None, false),
             LiaResult::Unknown => (None, true),
         };
     }
-    // The fresh solver charges its own root on top of the entry charge.
     let mut s = CdclSolver::new();
     s.add_assertion(pool, formula, 0);
     match s.solve(governor) {

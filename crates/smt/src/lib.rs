@@ -24,8 +24,10 @@
 //!   (CDCL(T) by default, the legacy DPLL for ablation);
 //! * [`cdcl`] — the CDCL(T) engine: watched literals, 1UIP learning,
 //!   backjumping, theory propagation over an incremental simplex;
-//! * [`qcache`] — canonicalizing, cross-pool query-result memoization
-//!   consulted by [`solver::check`] (definitive verdicts only);
+//! * [`qcache`] — query-result memoization consulted by
+//!   [`solver::check`]: a per-pool memo keyed on [`term::TermId`], and an
+//!   optional canonicalizing cache shared across pools (definitive
+//!   verdicts only);
 //! * [`unsat_core`] — deletion-based cores (drives trace slicing);
 //! * [`cube`] — cubes/DNF with variable elimination (drives strongest-
 //!   postcondition interpolation).
@@ -62,7 +64,7 @@ pub mod unsat_core;
 
 pub use cdcl::{CdclOutcome, CdclSolver};
 pub use linear::{LinExpr, LinearConstraint, Rel, VarId};
-pub use qcache::{CacheStats, QueryCache};
+pub use qcache::{CacheStats, QueryCache, QueryMemo};
 pub use resource::{Category, FaultKind, FaultPlan, GiveUp, GovernorBuilder, ResourceGovernor};
 pub use simplex::{IncrementalSimplex, SimplexMark, TheoryResult};
 pub use solver::{

@@ -1,38 +1,50 @@
-//! Solver-level query memoization: a canonicalizing, shareable result
-//! cache for [`crate::solver::check`].
+//! Solver-level query memoization in two tiers, consulted by
+//! [`crate::solver::check`] and by the warm
+//! [`crate::solver::AssertionScope`] solver. Only definitive verdicts are
+//! stored in either tier.
 //!
-//! Every query is keyed by the **canonical form** of its assertion
-//! conjunction: the hash-consed formula is exported into the
-//! pool-independent [`ExportedTerm`] representation (variables by name,
-//! atoms with name-sorted coefficient lists) and the children of every
-//! `∧`/`∨` node are recursively sorted. Sorting is semantics-preserving
-//! (commutativity), and because the key no longer mentions pool-relative
-//! [`crate::TermId`]s, structurally equal queries from *different* pools
-//! share one cache line — which is what lets the daemon's workers, each
-//! verifying on a pool of its own, reuse each other's verdicts.
+//! **The pool memo** ([`QueryMemo`]) belongs to one [`crate::TermPool`]
+//! and is keyed on the queried formula's hash-consed [`TermId`]. Within a
+//! pool that id is already canonical: `∧`/`∨` sort and deduplicate their
+//! children when they are interned, so structurally equal queries are one
+//! id and a lookup builds no key. [`crate::TermPool::new`] switches the
+//! memo on; `--no-qcache` (`VerifierConfig::use_qcache`) and the
+//! certificate audit switch it off. Cloning a pool copies its memo by
+//! value, and no API moves a memo into another pool, whose ids name other
+//! formulas. The memo needs no capacity bound: it holds at most one entry
+//! per interned formula, so it grows with the pool's own term table and is
+//! freed with the pool (the daemon drops its pool after every request).
 //!
-//! Soundness rules:
+//! **The shared cache** ([`QueryCache`]) is the cross-pool tier, consulted
+//! on a memo miss only where a caller installed one
+//! ([`crate::TermPool::set_shared_cache`]): the daemon installs one cache
+//! on every worker's pool, and persists its working set in the proof
+//! store's `qcache:` lines. Its key is the **canonical form** of the
+//! query: the formula exported into the pool-independent [`ExportedTerm`]
+//! representation (variables by name, atoms with name-sorted coefficient
+//! lists), with the children of every `∧`/`∨` node recursively sorted.
+//! Sorting preserves satisfiability (commutativity), and because the key
+//! mentions no pool-relative id, structurally equal queries from
+//! *different* pools share one entry. Building that key costs an exported
+//! tree, one `String` per variable occurrence and a recursive sort, so
+//! pools without a shared cache (the CLI, batch and portfolio runs) never
+//! build one. A shared hit is copied into the memo.
 //!
-//! * only definitive verdicts are stored — `Sat` (with its model, exported
-//!   by variable name) and `Unsat`. `Unknown` is **never** cached, so a
-//!   budget- or deadline-tripped governor cannot poison the cache;
-//! * `Sat` entries are re-validated on every hit by exact evaluation of
-//!   the queried formula under the imported model (see
-//!   [`crate::solver::check`]), so a hit can never claim more
-//!   than a fresh solve would;
-//! * sat/unsat of a canonical term is pool-independent, so cross-pool
-//!   sharing never changes a verdict, only who computes it first.
+//! Soundness rules, for both tiers:
 //!
-//! The same rules make the cache **cross-engine**: the CDCL and legacy
-//! DPLL engines (see [`crate::solver::SolverKind`]) answer the same
-//! decision problem, so a verdict computed by either is a valid hit for
-//! the other — the key deliberately does not encode which engine solved
-//! it. The incremental [`crate::solver::AssertionScope`] engine consults
-//! the cache before each scoped solve and publishes its definitive
-//! verdicts back, so warm-start state and memoization compose rather
-//! than compete.
+//! * only `Sat` (with its model) and `Unsat` are stored. `Unknown` is
+//!   **never** stored, so a budget- or deadline-tripped governor cannot
+//!   poison either tier;
+//! * a hit charges only a governor poll, so an expired deadline or a
+//!   standing trip still answers `Unknown`;
+//! * a `Sat` hit is re-validated by exact evaluation of the queried
+//!   formula under the stored model, so a hit can never claim more than a
+//!   fresh solve would;
+//! * sat/unsat of a formula does not depend on which engine decided it:
+//!   the CDCL and legacy DPLL engines (see [`crate::solver::SolverKind`])
+//!   answer the same decision problem, so neither key encodes the engine.
 //!
-//! The cache is an [`Arc`]-shared, sharded hash map with a bounded
+//! The shared cache is an [`Arc`]-shared, sharded hash map with a bounded
 //! per-shard capacity and atomic hit/miss/insert/evict counters. Eviction
 //! is **second-chance** (a one-bit clock): every lookup sets the entry's
 //! referenced bit, and when a shard is over capacity the oldest entry is
@@ -51,6 +63,9 @@
 //! imported `Sat` model is still re-validated on every hit, so a stale or
 //! corrupted entry costs a miss, never a wrong verdict.
 
+use crate::linear::VarId;
+use crate::solver::SatResult;
+use crate::term::TermId;
 use crate::transfer::ExportedTerm;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
@@ -195,6 +210,78 @@ impl CacheStats {
     }
 }
 
+/// A definitive verdict in a pool memo, its model in the pool's own
+/// [`VarId`]s.
+#[derive(Clone, Debug)]
+pub(crate) enum MemoVerdict {
+    Sat(Box<[(VarId, i128)]>),
+    Unsat,
+}
+
+/// The pool-owned memo tier: definitive verdicts keyed by the queried
+/// formula's [`TermId`] (see the module doc). Outside this crate it is
+/// read-only; the solver fills it.
+#[derive(Clone, Default)]
+pub struct QueryMemo {
+    entries: HashMap<TermId, MemoVerdict>,
+    hits: u64,
+    misses: u64,
+}
+
+impl std::fmt::Debug for QueryMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("QueryMemo")
+            .field("len", &self.len())
+            .field("stats", &self.stats())
+            .finish()
+    }
+}
+
+impl QueryMemo {
+    pub(crate) fn get(&self, formula: TermId) -> Option<&MemoVerdict> {
+        self.entries.get(&formula)
+    }
+
+    pub(crate) fn note_hit(&mut self) {
+        self.hits += 1;
+    }
+
+    pub(crate) fn note_miss(&mut self) {
+        self.misses += 1;
+    }
+
+    /// Stores `result` for `formula` unless it is `Unknown`.
+    pub(crate) fn insert(&mut self, formula: TermId, result: &SatResult) {
+        let verdict = match result {
+            SatResult::Sat(model) => MemoVerdict::Sat(model.iter().collect()),
+            SatResult::Unsat => MemoVerdict::Unsat,
+            SatResult::Unknown => return,
+        };
+        self.entries.insert(formula, verdict);
+    }
+
+    /// Number of memoized verdicts.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// `true` when nothing is memoized.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// A snapshot of the monotone counters. Entries are never removed, so
+    /// `insertions` is the entry count and `evictions` is 0.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits,
+            misses: self.misses,
+            insertions: self.entries.len() as u64,
+            evictions: 0,
+        }
+    }
+}
+
 /// A cached verdict plus its second-chance clock bit.
 struct Entry {
     verdict: CachedVerdict,
@@ -218,8 +305,9 @@ struct CacheInner {
     evictions: AtomicU64,
 }
 
-/// The sharded concurrent query cache. Cheap to clone (an [`Arc`]);
-/// clones share storage and counters.
+/// The sharded concurrent query cache: the cross-pool tier, keyed by
+/// canonical [`ExportedTerm`]s (see the module doc). Cheap to clone (an
+/// [`Arc`]); clones share storage and counters.
 #[derive(Clone)]
 pub struct QueryCache {
     inner: Arc<CacheInner>,

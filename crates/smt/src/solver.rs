@@ -11,7 +11,7 @@
 use crate::cdcl::{self, CdclOutcome, CdclSolver, DECISION_BUDGET};
 use crate::lia::{check_integer_governed, LiaResult, DEFAULT_BB_BUDGET};
 use crate::linear::{LinearConstraint, VarId};
-use crate::qcache::{self, CachedVerdict, QueryCache};
+use crate::qcache::{self, CachedVerdict, MemoVerdict, QueryCache};
 use crate::resource::{Category, ResourceGovernor};
 use crate::simplex::{check_rational_governed, SimplexResult};
 use crate::term::{Term, TermId, TermPool};
@@ -105,7 +105,7 @@ impl fmt::Display for SolverKind {
 }
 
 /// Checks satisfiability of the conjunction of `assertions` with the
-/// pool's solver kind, governor and query cache.
+/// pool's solver kind, governor and memoization ([`crate::qcache`]).
 ///
 /// # Example
 ///
@@ -149,40 +149,85 @@ pub fn check(pool: &mut TermPool, assertions: &[TermId]) -> SatResult {
     })
 }
 
-/// The query-cache protocol around one solve of `formula`, shared by
-/// [`check`] and the warm [`AssertionScope`] solver. Trivially-constant
-/// formulas skip the cache entirely (both lookup and insert) and flow
-/// through the unchanged search, so governor charge sequences for them
-/// stay bit-identical to a cache-free build. A hit answers after a
-/// governor poll (see [`consult`]); a miss runs `solve` and inserts its
-/// answer unless it is `Unknown`.
+/// The memoization protocol around one solve of `formula`, shared by
+/// [`check`] and the warm [`AssertionScope`] solver (see
+/// [`crate::qcache`]). Trivially-constant formulas, and every formula
+/// while memoization is off, go straight to `solve`, so their governor
+/// charge sequences are those of a memo-free build. Otherwise the pool
+/// memo is consulted first, then the shared cache if one is installed
+/// (only then is the canonical key built); a miss in both runs `solve`.
+/// Definitive answers are stored in the memo, and solved ones in the
+/// shared cache too.
 fn cached_solve(
     pool: &mut TermPool,
     formula: TermId,
     solve: impl FnOnce(&mut TermPool) -> SatResult,
 ) -> SatResult {
-    let cached = match pool.query_cache() {
-        Some(cache) if formula != TermPool::TRUE && formula != TermPool::FALSE => {
-            let cache = cache.clone();
-            let key = canonical_key(pool, formula);
-            match consult(pool, formula, &cache, &key) {
-                Some(result) => return result,
-                None => Some((cache, key)),
+    if formula == TermPool::TRUE || formula == TermPool::FALSE || pool.query_cache().is_none() {
+        return solve(pool);
+    }
+    if let Some(result) = consult_memo(pool, formula) {
+        return result;
+    }
+    let shared = pool
+        .shared_cache()
+        .cloned()
+        .map(|cache| (canonical_key(pool, formula), cache));
+    let hit = shared
+        .as_ref()
+        .and_then(|(key, cache)| consult(pool, formula, cache, key));
+    let result = match hit {
+        Some(result) => result,
+        None => {
+            let result = solve(pool);
+            if let Some((key, cache)) = shared {
+                match &result {
+                    SatResult::Sat(model) => {
+                        cache.insert(key, CachedVerdict::Sat(export_model(pool, model)));
+                    }
+                    SatResult::Unsat => cache.insert(key, CachedVerdict::Unsat),
+                    SatResult::Unknown => {}
+                }
             }
+            result
         }
-        _ => None,
     };
-    let result = solve(pool);
-    if let Some((cache, key)) = cached {
-        match &result {
-            SatResult::Sat(model) => {
-                cache.insert(key, CachedVerdict::Sat(export_model(pool, model)));
-            }
-            SatResult::Unsat => cache.insert(key, CachedVerdict::Unsat),
-            SatResult::Unknown => {}
+    pool.memo_mut().insert(formula, &result);
+    result
+}
+
+/// `result` if the pool's governor still allows work, else `Unknown`: the
+/// only charge of an answer that needs no solve.
+fn polled(pool: &TermPool, result: SatResult) -> SatResult {
+    match pool.governor().poll() {
+        Ok(()) => result,
+        Err(_) => SatResult::Unknown,
+    }
+}
+
+/// Tries to answer the query from the pool memo, counting a hit or a
+/// miss. A `Sat` entry is re-validated against `formula` first.
+fn consult_memo(pool: &mut TermPool, formula: TermId) -> Option<SatResult> {
+    let memo = pool.query_cache().expect("memoization is on");
+    let hit = match memo.get(formula) {
+        Some(MemoVerdict::Unsat) => Some(SatResult::Unsat),
+        Some(MemoVerdict::Sat(values)) => {
+            let model = Model::from_values(values.iter().copied().collect());
+            pool.eval(formula, &|v| model.value(v))
+                .then_some(SatResult::Sat(model))
+        }
+        None => None,
+    };
+    match hit {
+        Some(result) => {
+            pool.memo_mut().note_hit();
+            Some(polled(pool, result))
+        }
+        None => {
+            pool.memo_mut().note_miss();
+            None
         }
     }
-    result
 }
 
 /// The pool-independent canonical cache key for `formula`.
@@ -200,25 +245,17 @@ fn export_model(pool: &TermPool, model: &Model) -> Vec<(String, i128)> {
         .collect()
 }
 
-/// Tries to answer the query from `cache`. A usable entry counts a hit
-/// and charges only a governor poll (deadlines and standing trips still
-/// fire, but no step budget is spent); anything else counts a miss and
-/// returns `None` so the caller solves for real.
+/// Tries to answer the query from the shared `cache`. A usable entry
+/// counts a hit and charges only a governor poll; anything else counts a
+/// miss and returns `None` so the caller solves for real.
 fn consult(
     pool: &mut TermPool,
     formula: TermId,
     cache: &QueryCache,
     key: &ExportedTerm,
 ) -> Option<SatResult> {
-    let entry = cache.get(key);
-    match entry {
-        Some(CachedVerdict::Unsat) => {
-            cache.note_hit();
-            match pool.governor().poll() {
-                Ok(()) => Some(SatResult::Unsat),
-                Err(_) => Some(SatResult::Unknown),
-            }
-        }
+    let result = match cache.get(key) {
+        Some(CachedVerdict::Unsat) => SatResult::Unsat,
         Some(CachedVerdict::Sat(named)) => {
             // Re-validate: the stored witness must satisfy *this* pool's
             // formula under exact evaluation. (All named variables occur
@@ -227,22 +264,19 @@ fn consult(
             let values: HashMap<VarId, i128> =
                 named.iter().map(|(name, k)| (pool.var(name), *k)).collect();
             let model = Model::from_values(values);
-            if pool.eval(formula, &|v| model.value(v)) {
-                cache.note_hit();
-                match pool.governor().poll() {
-                    Ok(()) => Some(SatResult::Sat(model)),
-                    Err(_) => Some(SatResult::Unknown),
-                }
-            } else {
+            if !pool.eval(formula, &|v| model.value(v)) {
                 cache.note_miss();
-                None
+                return None;
             }
+            SatResult::Sat(model)
         }
         None => {
             cache.note_miss();
-            None
+            return None;
         }
-    }
+    };
+    cache.note_hit();
+    Some(polled(pool, result))
 }
 
 /// `true` iff `antecedent → consequent` is valid (reported conservatively:
@@ -278,11 +312,12 @@ const SCOPE_MODEL_LIMIT: usize = 8;
 ///   [`SCOPE_MODEL_LIMIT`]) are replayed by exact evaluation against each
 ///   new extra assertion — an evaluation, not a solve;
 /// * queries that fall through are solved with the pool's engine, under
-///   the query cache (when installed) keyed by exactly the hash-consed
-///   formula a cold `check(&[prefix…, extra])` would build.
+///   the pool's memoization keyed by exactly the hash-consed formula a
+///   cold `check(&[prefix…, extra])` would build.
 ///
 /// Every shortcut answers what a cold [`check`] would, so the scope is
-/// the same with or without a query cache; only the memoization differs.
+/// the same with or without memoization; only who computes a verdict
+/// differs.
 #[derive(Debug)]
 pub struct AssertionScope {
     prefix: TermId,
@@ -326,10 +361,7 @@ impl AssertionScope {
     /// Checks `prefix ∧ extra`.
     pub fn check(&mut self, pool: &mut TermPool, extra: TermId) -> SatResult {
         if self.prefix_unsat {
-            return match pool.governor().poll() {
-                Ok(()) => SatResult::Unsat,
-                Err(_) => SatResult::Unknown,
-            };
+            return polled(pool, SatResult::Unsat);
         }
         // Replay retained models (newest first) by exact evaluation.
         let reusable =
@@ -337,11 +369,7 @@ impl AssertionScope {
                 pool.eval(self.prefix, &|v| m.value(v)) && pool.eval(extra, &|v| m.value(v))
             });
         if let Some(model) = reusable {
-            let model = model.clone();
-            return match pool.governor().poll() {
-                Ok(()) => SatResult::Sat(model),
-                Err(_) => SatResult::Unknown,
-            };
+            return polled(pool, SatResult::Sat(model.clone()));
         }
         let result = match pool.solver_kind() {
             SolverKind::Cdcl => self.warm_check(pool, extra),
@@ -357,7 +385,7 @@ impl AssertionScope {
     }
 
     /// Checks `prefix ∧ extra` on the warm solver, through the same
-    /// query-cache protocol as a plain [`check`]. A constant formula goes
+    /// memoization protocol as a plain [`check`]. A constant formula goes
     /// to [`check`] itself.
     fn warm_check(&mut self, pool: &mut TermPool, extra: TermId) -> SatResult {
         let formula = pool.and([self.prefix, extra]);
@@ -368,7 +396,7 @@ impl AssertionScope {
         let engine = &mut self.engine;
         cached_solve(pool, formula, |pool| {
             let solver = engine.get_or_insert_with(|| {
-                let mut solver = CdclSolver::default();
+                let mut solver = CdclSolver::new();
                 solver.add_assertion(pool, prefix, 0);
                 solver
             });
@@ -681,7 +709,7 @@ mod tests {
     #[test]
     fn tiny_budget_reports_unknown() {
         let mut p = TermPool::new();
-        p.take_query_cache();
+        p.set_memoization(false);
         let x = p.var("x");
         let a = p.ge_const(x, 0);
         let b = p.le_const(x, 10);
@@ -696,10 +724,42 @@ mod tests {
         }
     }
 
+    /// A query refuted at the root, before any decision, costs one
+    /// `DpllDecisions` unit under either engine: a budget of 1 answers it
+    /// and a budget of 0 trips.
+    #[test]
+    fn a_root_refutation_costs_one_decision_unit_under_both_engines() {
+        let mut p = TermPool::new();
+        p.set_memoization(false);
+        let x = p.var("x");
+        let y = p.var("y");
+        let ge3 = p.ge_const(x, 3);
+        let le1 = p.le_const(x, 1);
+        let low = p.le_const(y, 0);
+        let high = p.ge_const(y, 5);
+        let either = p.or([low, high]);
+        let refuted = [ge3, le1, either];
+        for solver in [SolverKind::Dpll, SolverKind::Cdcl] {
+            p.set_solver_kind(solver);
+            for (budget, expected) in [(1, SatResult::Unsat), (0, SatResult::Unknown)] {
+                p.set_governor(
+                    ResourceGovernor::builder()
+                        .budget(Category::DpllDecisions, budget)
+                        .build(),
+                );
+                assert_eq!(
+                    check(&mut p, &refuted),
+                    expected,
+                    "{solver}, budget {budget}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn engines_agree_on_structured_formulas() {
         let mut p = TermPool::new();
-        p.take_query_cache();
+        p.set_memoization(false);
         let x = p.var("x");
         let y = p.var("y");
         let low = p.le_const(x, 0);

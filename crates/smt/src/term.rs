@@ -7,7 +7,7 @@
 //! and cube extraction simple.
 
 use crate::linear::{LinExpr, LinearConstraint, NormalizedConstraint, Rel, VarId};
-use crate::qcache::QueryCache;
+use crate::qcache::{QueryCache, QueryMemo};
 use crate::resource::ResourceGovernor;
 use crate::solver::SolverKind;
 use std::collections::HashMap;
@@ -73,11 +73,17 @@ pub struct TermPool {
     /// The resource governor charged by every solver query routed through
     /// this pool (defaults to [`ResourceGovernor::unlimited`]).
     governor: ResourceGovernor,
-    /// Optional query-result memoization consulted by the solver. Cloning
-    /// the pool shares the cache (it is `Arc`-backed); the daemon installs
-    /// one cache on every worker's pool so requests reuse each other's
-    /// verdicts.
-    qcache: Option<QueryCache>,
+    /// Definitive solver verdicts for this pool's formulas, keyed by
+    /// [`TermId`] (the first tier of [`crate::qcache`]). Owned: cloning
+    /// the pool copies it, and no API moves it into another pool.
+    memo: QueryMemo,
+    /// Whether solver calls through this pool consult and fill `memo`
+    /// (and `shared`); [`TermPool::new`] switches it on.
+    memoize: bool,
+    /// The cross-pool tier, consulted on a memo miss when installed.
+    /// Cloning the pool shares it (it is `Arc`-backed); the daemon
+    /// installs one cache on every worker's pool.
+    shared: Option<QueryCache>,
     /// Which boolean search engine answers queries routed through this
     /// pool (defaults to [`SolverKind::Cdcl`]; `--solver=dpll` selects
     /// the legacy search for ablation).
@@ -92,7 +98,7 @@ impl TermPool {
         let f = pool.intern_term(Term::False);
         debug_assert_eq!(t, TermPool::TRUE);
         debug_assert_eq!(f, TermPool::FALSE);
-        pool.qcache = Some(QueryCache::new());
+        pool.memoize = true;
         pool
     }
 
@@ -146,23 +152,33 @@ impl TermPool {
 
     // ---- query memoization -----------------------------------------------
 
-    /// The query cache consulted by solver calls through this pool, if
-    /// enabled. [`TermPool::new`] enables a fresh cache; disable with
-    /// [`TermPool::take_query_cache`].
-    pub fn query_cache(&self) -> Option<&QueryCache> {
-        self.qcache.as_ref()
+    /// This pool's memo, or `None` while memoization is off. Read-only:
+    /// its [`QueryMemo::stats`] count the lookups made through this pool.
+    pub fn query_cache(&self) -> Option<&QueryMemo> {
+        self.memoize.then_some(&self.memo)
     }
 
-    /// Installs `cache` (shared storage: the handle is `Arc`-backed).
-    pub fn set_query_cache(&mut self, cache: QueryCache) {
-        self.qcache = Some(cache);
+    pub(crate) fn memo_mut(&mut self) -> &mut QueryMemo {
+        &mut self.memo
     }
 
-    /// Removes and returns this pool's cache handle, disabling
-    /// memoization for subsequent queries. Other clones of the handle
-    /// keep working.
-    pub fn take_query_cache(&mut self) -> Option<QueryCache> {
-        self.qcache.take()
+    /// Switches memoization on or off. While it is off, solver calls
+    /// consult and fill neither the memo nor the shared cache; the memo
+    /// keeps its entries and counters for when it is switched back on.
+    pub fn set_memoization(&mut self, on: bool) {
+        self.memoize = on;
+    }
+
+    /// The cross-pool cache consulted on memo misses, if one is installed.
+    /// [`TermPool::new`] installs none.
+    pub fn shared_cache(&self) -> Option<&QueryCache> {
+        self.shared.as_ref()
+    }
+
+    /// Installs `cache` as the cross-pool tier (shared storage: the
+    /// handle is `Arc`-backed).
+    pub fn set_shared_cache(&mut self, cache: QueryCache) {
+        self.shared = Some(cache);
     }
 
     // ---- variables -------------------------------------------------------

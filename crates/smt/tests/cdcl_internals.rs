@@ -74,7 +74,7 @@ fn boxed_query(pool: &mut TermPool, seed: u64) -> TermId {
 
 fn solve_audited(seed: u64) -> (CdclSolver, CdclOutcome) {
     let mut pool = TermPool::new();
-    pool.take_query_cache();
+    pool.set_memoization(false);
     let q = boxed_query(&mut pool, seed);
     let mut s = CdclSolver::new();
     s.enable_audit();
@@ -229,7 +229,7 @@ fn governor_cancellation_mid_search_leaves_pool_reusable() {
     assert!(conflicts >= 3);
 
     let mut pool = TermPool::new();
-    pool.take_query_cache();
+    pool.set_memoization(false);
     let q = boxed_query(&mut pool, seed);
     pool.set_solver_kind(SolverKind::Cdcl);
 
@@ -252,7 +252,7 @@ fn governor_cancellation_mid_search_leaves_pool_reusable() {
     let retried = check(&mut pool, &[q]);
 
     let mut fresh = TermPool::new();
-    fresh.take_query_cache();
+    fresh.set_memoization(false);
     let q2 = boxed_query(&mut fresh, seed);
     fresh.set_solver_kind(SolverKind::Dpll);
     let legacy = check(&mut fresh, &[q2]);
@@ -269,7 +269,7 @@ fn governor_cancellation_mid_search_leaves_pool_reusable() {
 fn injected_fault_mid_conflict_analysis_is_conservative() {
     let (seed, _) = seed_with_conflicts(3);
     let mut pool = TermPool::new();
-    pool.take_query_cache();
+    pool.set_memoization(false);
     let q = boxed_query(&mut pool, seed);
     pool.set_solver_kind(SolverKind::Cdcl);
 

@@ -262,7 +262,7 @@ fn scope_battery_row(seed: u64, cached: bool) {
     let mut rng = Rng(seed ^ 0xba77e);
     let mut pool = TermPool::new();
     if !cached {
-        pool.take_query_cache();
+        pool.set_memoization(false);
     }
     pool.set_solver_kind(SolverKind::Cdcl);
     let n_prefix = 1 + rng.below(3) as usize;
@@ -272,7 +272,7 @@ fn scope_battery_row(seed: u64, cached: bool) {
 
     // Legacy pool, memoization off, same term stream.
     let mut legacy = TermPool::new();
-    legacy.take_query_cache();
+    legacy.set_memoization(false);
     legacy.set_solver_kind(SolverKind::Dpll);
     let mut lrng = Rng(seed ^ 0xba77e);
     let ln_prefix = 1 + lrng.below(3) as usize;
@@ -301,7 +301,7 @@ fn scope_battery_row(seed: u64, cached: bool) {
 fn cacheless_scope_detects_an_unsat_prefix() {
     for kind in [SolverKind::Cdcl, SolverKind::Dpll] {
         let mut pool = TermPool::new();
-        pool.take_query_cache();
+        pool.set_memoization(false);
         pool.set_solver_kind(kind);
         let x = pool.var("x");
         let y = pool.var("y");

@@ -1,5 +1,5 @@
 //! Every shape of `drive` run honours its members' configuration: the
-//! solver kind, the query-cache switch and the governor (step budgets and
+//! solver kind, the memoization switch and the governor (step budgets and
 //! fault plans, including `Rounds` charged once per round). Each check
 //! runs a single-member run with a retry ladder and a two-member run.
 
@@ -89,23 +89,47 @@ fn every_schedule_honours_use_qcache() {
     let cached = verify(&mut pool, &p, &VerifierConfig::gemcutter_seq());
     assert!(
         cached.stats.qcache_misses > 0,
-        "the cache is consulted when on"
+        "the memo is consulted when on"
     );
     let config = VerifierConfig::gemcutter_seq().without_qcache();
     for (name, run) in runs(&config) {
         let (mut pool, p) = counter();
-        let cache = pool.query_cache().cloned().expect("pools carry a cache");
-        let before = cache.stats();
+        let memo = pool.query_cache().expect("pools memoize by default");
+        let before = (memo.stats(), memo.len());
         let driven = drive(&mut pool, &p, &run);
         assert!(driven.outcome.verdict.is_correct(), "{name}");
-        assert_eq!(cache.stats(), before, "{name}: the cache was consulted");
+        let memo = pool.query_cache().expect("the run restores memoization");
+        assert_eq!(
+            (memo.stats(), memo.len()),
+            before,
+            "{name}: the memo was consulted"
+        );
         let stats = &driven.outcome.stats;
         assert_eq!(
             (stats.qcache_hits, stats.qcache_misses),
             (0, 0),
-            "{name}: a cache-off run must report no cache activity"
+            "{name}: a memo-off run must report no memo activity"
         );
     }
+}
+
+/// A plain `verify` installs no shared cross-pool cache, and its
+/// `qcache_*` counters are exactly the pool memo's.
+#[test]
+fn default_runs_count_the_pool_memo() {
+    let (mut pool, p) = counter();
+    let outcome = verify(&mut pool, &p, &VerifierConfig::gemcutter_seq());
+    assert!(outcome.verdict.is_correct(), "{:?}", outcome.verdict);
+    assert!(pool.shared_cache().is_none(), "no shared tier by default");
+    let memo = pool
+        .query_cache()
+        .expect("pools memoize by default")
+        .stats();
+    assert!(memo.hits > 0 && memo.misses > 0, "{memo:?}");
+    assert_eq!(
+        (outcome.stats.qcache_hits, outcome.stats.qcache_misses),
+        (memo.hits, memo.misses)
+    );
 }
 
 #[test]

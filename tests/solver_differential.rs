@@ -96,7 +96,7 @@ fn check_with(pool: &mut TermPool, assertions: &[TermId], kind: SolverKind) -> S
 fn check_one(f: &F) {
     let mut pool = TermPool::new();
     // Disable memoization: each engine must earn its own verdict.
-    pool.take_query_cache();
+    pool.set_memoization(false);
     let vars: Vec<VarId> = (0..NUM_VARS).map(|i| pool.var(&format!("v{i}"))).collect();
     let t = lower(&mut pool, &vars, f);
     // The query is a *battery* of assertions (formula + box bounds), so
